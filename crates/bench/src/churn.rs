@@ -6,7 +6,7 @@
 //! trace: bursts of same-instant shuffle fan-out (many `add_flow` calls
 //! before the next rate query), completion-driven removals, and occasional
 //! capacity movement. It isolates the incremental rate-recomputation path
-//! (`Waterfiller` refills plus the completion-ETA index) from scheduling
+//! (`Waterfiller` refills plus the cached completion ETAs) from scheduling
 //! and placement cost.
 
 use rand::rngs::StdRng;

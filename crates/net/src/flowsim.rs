@@ -7,17 +7,17 @@
 //! completes when the clock reaches `d + size`.
 //!
 //! The per-event costs are incremental: rate recomputation reuses a
-//! persistent [`Waterfiller`] and refills only the link components touched
-//! by mutations since the last refresh; the next completion comes from a
-//! global ETA min-heap whose entries are generation-stamped (per-group
-//! stamps for membership/rate changes, a global epoch for clock movement)
-//! instead of a linear scan; and time advancement walks a live-group list,
-//! so `(src, dst)` pairs that once carried a flow but drained long ago cost
-//! nothing. All of it is exact: the arithmetic — and therefore every
-//! simulated timestamp and byte count — is bit-identical to recomputing the
-//! world from scratch at every event.
+//! persistent [`Waterfiller`], which replays the previous max-min fill from
+//! the first step a mutation can alter; each group caches its earliest
+//! completion, recomputed only after its membership or rate changed or the
+//! clock moved, and the next completion is a linear argmin over the cached
+//! values; and time advancement walks a live-group list, so `(src, dst)`
+//! pairs that once carried a flow but drained long ago cost nothing. All of
+//! it is exact: the arithmetic — and therefore every simulated timestamp
+//! and byte count — is bit-identical to recomputing the world from scratch
+//! at every event.
 
-use crate::maxmin::Waterfiller;
+use crate::maxmin::{WaterfillStats, Waterfiller};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use tetrium_cluster::SiteId;
@@ -60,12 +60,12 @@ struct Group {
     /// Completion thresholds `(join_drain + size, flow index)`, min-first;
     /// entries for removed flows are discarded lazily.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Generation stamp: bumped whenever the group's ETA inputs change
-    /// (membership or a bitwise rate change), invalidating its entry in
-    /// the global ETA heap.
-    eta_stamp: u32,
-    /// Whether the group is already queued for an ETA re-push.
-    stale_queued: bool,
+    /// Cached earliest completion `(eta, flow)`, `None` while stalled.
+    /// Valid only while `eta_fresh`.
+    eta: Option<(f64, usize)>,
+    /// Cleared whenever an input of `eta` changes: membership, a bitwise
+    /// rate change, or the clock.
+    eta_fresh: bool,
 }
 
 /// Orders non-negative f64 thresholds as u64 keys.
@@ -84,29 +84,14 @@ fn ord_key(v: f64) -> u64 {
     }
 }
 
-/// An entry in the global ETA heap: the earliest completion of one group,
-/// ordered by `(eta, group index)` so ties resolve to the lowest group —
-/// the same winner the previous linear scan produced. Entries are validated
-/// lazily on pop: one is live only while its group stamp and the global
-/// time epoch still match.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EtaEntry {
-    ord: u64,
-    group: usize,
-    eta_bits: u64,
-    flow: usize,
-    stamp: u32,
-    epoch: u64,
-}
-
 /// Fluid simulation of concurrent WAN transfers.
 ///
 /// Time does not advance on its own: the owner (the discrete-event engine)
 /// calls [`FlowSim::advance_to`] to move the clock forward — draining bytes
 /// at the current max-min rates — and uses [`FlowSim::next_completion`] to
 /// schedule its next network event. Rates are recomputed lazily whenever the
-/// flow set or link capacities change, and incrementally: only the link
-/// components touched since the last refresh are refilled.
+/// flow set or link capacities change, and incrementally: the max-min fill
+/// is replayed from the first step the changes can alter.
 ///
 /// Local flows (`src == dst`) complete instantly (zero remaining time), as
 /// local reads do not cross the WAN in the paper's model.
@@ -145,18 +130,8 @@ pub struct FlowSim {
     /// so the order is not insertion order.
     locals: Vec<usize>,
     dirty: bool,
-    /// Persistent waterfilling scratch + dirty-link set.
+    /// Persistent waterfilling state: the recorded fill + dirty-link set.
     wf: Waterfiller,
-    /// Global ETA heap over live groups; see [`EtaEntry`].
-    eta_heap: BinaryHeap<Reverse<EtaEntry>>,
-    /// Bumped whenever `now` changes bitwise: ETAs are computed from
-    /// `(now, drained)` and must be re-derived once the clock moves so the
-    /// arithmetic matches a from-scratch scan bit for bit.
-    time_epoch: u64,
-    /// All live groups need fresh ETA entries (set when the clock moves).
-    all_stale: bool,
-    /// Groups needing an ETA re-push (membership or rate changed).
-    stale: Vec<usize>,
     /// Memoized result of [`FlowSim::next_completion`]: completion times are
     /// absolute, so the answer stays valid until the flow set or capacities
     /// change.
@@ -197,10 +172,6 @@ impl FlowSim {
             locals: Vec::new(),
             dirty: false,
             wf: Waterfiller::new(n),
-            eta_heap: BinaryHeap::new(),
-            time_epoch: 0,
-            all_stale: false,
-            stale: Vec::new(),
             cached_next: None,
             obs: Obs::disabled(),
             obs_pending: false,
@@ -235,15 +206,9 @@ impl FlowSim {
         self.active
     }
 
-    /// Bumps a group's ETA generation and queues it for a re-push into the
-    /// global heap at the next query.
-    fn mark_group_stale(&mut self, g: usize) {
-        let grp = &mut self.groups[g];
-        grp.eta_stamp = grp.eta_stamp.wrapping_add(1);
-        if !grp.stale_queued {
-            grp.stale_queued = true;
-            self.stale.push(g);
-        }
+    /// Cumulative work counters of the rate recomputation.
+    pub fn waterfill_stats(&self) -> WaterfillStats {
+        self.wf.stats()
     }
 
     fn live_insert(&mut self, g: usize) {
@@ -295,19 +260,19 @@ impl FlowSim {
                         rate: 0.0,
                         drained: 0.0,
                         heap: BinaryHeap::new(),
-                        eta_stamp: 0,
-                        stale_queued: false,
+                        eta: None,
+                        eta_fresh: false,
                     });
                     self.groups.len() - 1
                 });
             let grp = &mut self.groups[g];
             grp.count += 1;
             grp.heap.push(Reverse((key(grp.drained + gb), idx)));
+            grp.eta_fresh = false;
             let join = grp.drained;
             if grp.count == 1 {
                 self.live_insert(g);
             }
-            self.mark_group_stale(g);
             self.wf.mark_pair_dirty(src.index(), dst.index());
             self.dirty = true;
             self.cached_next = None;
@@ -347,12 +312,13 @@ impl FlowSim {
         self.cached_next = None;
         match rec.group {
             Some(g) => {
-                self.groups[g].count -= 1;
+                let grp = &mut self.groups[g];
+                grp.count -= 1;
+                grp.eta_fresh = false;
                 // Heap entries are discarded lazily when popped.
-                if self.groups[g].count == 0 {
+                if grp.count == 0 {
                     self.live_remove(g);
                 }
-                self.mark_group_stale(g);
                 let (src, dst) = (self.groups[g].src, self.groups[g].dst);
                 self.wf.mark_pair_dirty(src, dst);
                 self.dirty = true;
@@ -414,64 +380,66 @@ impl FlowSim {
             // at, so flush before moving the clock.
             self.flush_link_sample();
             self.refresh();
-            for &g in &self.live {
-                let grp = &mut self.groups[g];
+            let Self { live, groups, .. } = self;
+            for &g in live.iter() {
+                let Some(grp) = groups.get_mut(g) else {
+                    continue;
+                };
                 if grp.rate > 0.0 {
                     grp.drained += grp.rate * dt;
                 }
+                grp.eta_fresh = false;
             }
-            self.time_epoch += 1;
-            self.all_stale = true;
         } else if t.to_bits() != self.now.to_bits() {
             // The clock value changed bitwise (a sub-epsilon step backwards
             // or across the zero signs): ETAs derive from `now`, so they
             // must be recomputed to stay bit-exact.
-            self.time_epoch += 1;
-            self.all_stale = true;
+            let Self { live, groups, .. } = self;
+            for &g in live.iter() {
+                if let Some(grp) = groups.get_mut(g) {
+                    grp.eta_fresh = false;
+                }
+            }
         }
         self.now = t;
     }
 
-    /// The earliest valid ETA entry for group `g` (validating the group's
-    /// threshold heap lazily), or `None` when the group has no runnable
-    /// member at a positive rate.
-    fn group_entry(&mut self, g: usize) -> Option<EtaEntry> {
+    /// The earliest `(completion time, flow)` of group `g` (validating the
+    /// group's threshold heap lazily), or `None` when the group has no
+    /// runnable member at a positive rate.
+    fn group_eta(&mut self, g: usize) -> Option<(f64, usize)> {
+        let Self { groups, flows, .. } = self;
+        let grp = groups.get_mut(g)?;
         // Discard heap entries of removed flows or stale re-additions.
         let (threshold, idx) = loop {
-            let &Reverse((th, idx)) = self.groups[g].heap.peek()?;
-            let f = &self.flows[idx];
-            let valid = f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th;
+            let &Reverse((th, idx)) = grp.heap.peek()?;
+            let valid = flows.get(idx).is_some_and(|f| {
+                f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
+            });
             if valid {
                 break (th, idx);
             }
-            self.groups[g].heap.pop();
+            grp.heap.pop();
         };
-        let grp = &self.groups[g];
         let remaining = (f64::from_bits(threshold) - grp.drained).max(0.0);
         let eta = if remaining <= 1e-12 {
             self.now
         } else if grp.rate <= 0.0 {
             // Stalled: the group sits on a zeroed link (`set_capacity` with
             // 0 during an outage). No finite ETA exists; the group rejoins
-            // the completion heap when a capacity change restores its rate.
+            // the completion scan when a capacity change restores its rate.
             return None;
         } else {
             self.now + remaining / grp.rate
         };
-        Some(EtaEntry {
-            ord: ord_key(eta),
-            group: g,
-            eta_bits: eta.to_bits(),
-            flow: idx,
-            stamp: grp.eta_stamp,
-            epoch: self.time_epoch,
-        })
+        Some((eta, idx))
     }
 
     /// The earliest `(flow, absolute completion time)` among in-flight flows
     /// at current rates, or `None` when no flows are active.
     ///
-    /// Local flows and zero-byte flows complete "now".
+    /// Local flows and zero-byte flows complete "now". Ties between groups
+    /// resolve to the lowest group id.
     pub fn next_completion(&mut self) -> Option<(FlowKey, f64)> {
         if let Some(cached) = self.cached_next {
             return cached;
@@ -482,45 +450,32 @@ impl FlowSim {
         if let Some(&i) = self.locals.first() {
             return Some((FlowKey(i), self.now));
         }
-        if self.all_stale {
-            // The clock moved: every ETA must be re-derived. Rebuild the
-            // heap in one O(live) heapify, reusing its buffer.
-            self.all_stale = false;
-            for g in std::mem::take(&mut self.stale) {
-                // (the Vec keeps its capacity through take+restore below)
-                self.groups[g].stale_queued = false;
-            }
-            let mut buf = std::mem::take(&mut self.eta_heap).into_vec();
-            buf.clear();
-            for i in 0..self.live.len() {
-                let g = self.live[i];
-                if let Some(e) = self.group_entry(g) {
-                    buf.push(Reverse(e));
+        // Argmin of `(eta, group)` over the live list (ascending ids, so a
+        // strict `<` keeps the lowest group on ties), refreshing stale
+        // cached ETAs on the way.
+        let mut best: Option<(u64, usize, f64)> = None;
+        for i in 0..self.live.len() {
+            let Some(&g) = self.live.get(i) else { break };
+            let cached = match self.groups.get(g) {
+                Some(grp) if grp.eta_fresh => grp.eta,
+                Some(_) => {
+                    let eta = self.group_eta(g);
+                    if let Some(grp) = self.groups.get_mut(g) {
+                        grp.eta = eta;
+                        grp.eta_fresh = true;
+                    }
+                    eta
                 }
-            }
-            self.eta_heap = BinaryHeap::from(buf);
-        } else {
-            while let Some(g) = self.stale.pop() {
-                self.groups[g].stale_queued = false;
-                if self.groups[g].count == 0 {
-                    continue;
-                }
-                if let Some(e) = self.group_entry(g) {
-                    self.eta_heap.push(Reverse(e));
+                None => None,
+            };
+            if let Some((eta, flow)) = cached {
+                let ord = ord_key(eta);
+                if best.is_none_or(|(b, _, _)| ord < b) {
+                    best = Some((ord, flow, eta));
                 }
             }
         }
-        // Pop superseded entries until the top is current; it stays in the
-        // heap for future queries.
-        let best = loop {
-            let Some(Reverse(e)) = self.eta_heap.peek() else {
-                break None;
-            };
-            if e.epoch == self.time_epoch && e.stamp == self.groups[e.group].eta_stamp {
-                break Some((FlowKey(e.flow), f64::from_bits(e.eta_bits)));
-            }
-            self.eta_heap.pop();
-        };
+        let best = best.map(|(_, flow, eta)| (FlowKey(flow), eta));
         self.cached_next = Some(best);
         best
     }
@@ -599,29 +554,38 @@ impl FlowSim {
         self.obs_down = down;
     }
 
-    /// Recomputes the rates of groups in mutated link components if any
-    /// mutation happened since the last refresh; untouched components keep
-    /// their (still exact) rates.
+    /// Recomputes rates if any mutation happened since the last refresh.
+    /// The waterfiller reports only the groups whose freeze step the
+    /// mutations could alter; every other group keeps its (still exact)
+    /// rate.
     fn refresh(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        let groups = &self.groups;
-        self.wf.refill(
-            &self.live,
+        let Self {
+            wf,
+            groups,
+            live,
+            up_gbps,
+            down_gbps,
+            ..
+        } = self;
+        wf.refill(
+            live,
             |g| {
                 let gr = &groups[g];
                 (gr.src, gr.dst, gr.count)
             },
-            &self.up_gbps,
-            &self.down_gbps,
+            up_gbps,
+            down_gbps,
         );
-        for i in 0..self.wf.refilled().len() {
-            let (g, r) = self.wf.refilled()[i];
-            if self.groups[g].rate.to_bits() != r.to_bits() {
-                self.groups[g].rate = r;
-                self.mark_group_stale(g);
+        for &(g, r) in wf.refilled() {
+            if let Some(grp) = groups.get_mut(g) {
+                if grp.rate.to_bits() != r.to_bits() {
+                    grp.rate = r;
+                    grp.eta_fresh = false;
+                }
             }
         }
     }
@@ -636,7 +600,7 @@ impl FlowSim {
     /// Invariants:
     /// 1. Every live group's per-flow rate is **bit-exact** equal to a
     ///    from-scratch [`crate::waterfill_groups`] over the same groups and
-    ///    capacities (the dirty-component refill contract).
+    ///    capacities (the replayed-refill contract).
     /// 2. Per-link conservation: Σ (rate × count) over groups crossing a
     ///    link never exceeds its capacity (tiny relative tolerance for the
     ///    summation order).

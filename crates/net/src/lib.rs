@@ -18,4 +18,6 @@ mod flowsim;
 mod maxmin;
 
 pub use flowsim::{FlowKey, FlowSim};
-pub use maxmin::{max_min_rates, waterfill_groups, FlowSpec, GroupSpec, Waterfiller};
+pub use maxmin::{
+    max_min_rates, waterfill_groups, FlowSpec, GroupSpec, WaterfillStats, Waterfiller,
+};

@@ -1,4 +1,10 @@
 //! Max-min fair rate allocation by progressive filling.
+//!
+//! [`waterfill_groups`] fills from scratch and is the reference. The
+//! persistent [`Waterfiller`] behind the flow simulator records each fill
+//! and replays it from the first step a mutation can alter; its docs give
+//! the argmin and divergence argument that keeps the replay bit-identical
+//! to the reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -123,133 +129,226 @@ fn key(level: f64) -> u64 {
     level.max(0.0).to_bits()
 }
 
-/// Persistent progressive-filling state: all scratch buffers (per-link
-/// remaining capacity and active counts, link→group membership, the
-/// saturation heap, and a link union-find) live across calls, so the steady
-/// state of a refill allocates nothing.
+/// Packs a `(level key, link)` pair into one word that orders like the
+/// tuple: the argmin order of the fill.
+#[inline]
+fn pack(k: u64, link: usize) -> u128 {
+    (u128::from(k) << 64) | link as u128
+}
+
+/// The link half of a [`pack`]ed order.
+#[inline]
+fn link_of(packed: u128) -> usize {
+    packed as u64 as usize
+}
+
+/// The key half of a [`pack`]ed order.
+#[inline]
+fn key_of(packed: u128) -> u64 {
+    (packed >> 64) as u64
+}
+
+/// Fill state of one link (site uplink or downlink).
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkFill {
+    /// Remaining capacity.
+    rem: f64,
+    /// Flows of unfrozen groups crossing the link. Zero once the link has
+    /// saturated, so it doubles as the "already selected" marker.
+    act: u32,
+    /// Key of the most recent heap push for this link (see the fill loop).
+    best_key: u64,
+}
+
+impl LinkFill {
+    /// The per-flow level at which the link saturates from here.
+    #[inline]
+    fn level(&self) -> f64 {
+        self.rem.max(0.0) / f64::from(self.act)
+    }
+
+    /// Freezes `count` flows at `level`: the link loses their flows and the
+    /// capacity they take. The heap gets a fresh entry only when the new
+    /// saturation key lands below the last pushed one.
+    #[inline]
+    fn freeze(
+        &mut self,
+        level: f64,
+        count: u32,
+        link: usize,
+        heap: &mut BinaryHeap<Reverse<u128>>,
+    ) {
+        self.act -= count;
+        self.rem = (self.rem - level * f64::from(count)).max(0.0);
+        if self.act > 0 {
+            let nk = key(self.level());
+            if nk < self.best_key {
+                self.best_key = nk;
+                heap.push(Reverse(pack(nk, link)));
+            }
+        }
+    }
+}
+
+/// One saturation step of the recorded fill.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// [`pack`]ed `(key(level), link)` of the selected link.
+    order: u128,
+    /// Per-flow rate of every group frozen at this step.
+    level: f64,
+    /// The selected link's active count before the step.
+    act: u32,
+    /// First entry of the step in the undo log.
+    undo_start: usize,
+}
+
+/// Undo record of one freeze: the state of the frozen group's other link
+/// just before the freeze lowered it.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    link: u32,
+    /// Flows in the frozen group.
+    count: u32,
+    act: u32,
+    rem: f64,
+}
+
+/// Cumulative work counters of a [`Waterfiller`]. Plain counts: they cost
+/// one add per refill and never feed back into a rate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaterfillStats {
+    /// Refills that had a dirty link to act on.
+    pub refills: u64,
+    /// Saturation steps kept from the previous fill instead of recomputed.
+    pub steps_reused: u64,
+    /// Groups frozen again: the lengths of every refill's
+    /// [`Waterfiller::refilled`] list, summed.
+    pub groups_refrozen: u64,
+}
+
+/// Persistent progressive-filling state that replays the previous fill.
+///
+/// # The fill is an argmin sequence
+///
+/// Progressive filling repeatedly selects the active link (one with
+/// unfrozen flows) that saturates at the lowest per-flow level, freezes
+/// every unfrozen group crossing it at that level, and lowers the other
+/// link of each frozen group. The saturation heap implements exactly the
+/// argmin over active links of `(key(rem / act), link index)`: every
+/// active link keeps a heap entry at or below its current key (see the
+/// fill loop), so the first entry that validates is the strict minimum.
+/// The fill is therefore a pure function of the live groups (in order) and
+/// the capacities, and each step depends only on the state of the links.
+///
+/// # Replay from the first step a mutation can alter
+///
+/// Every refill records its steps (selected link, level key, level) and an
+/// undo log holding, per freeze, the other link's state before the freeze.
+/// A mutation — a group's count changing, a group appearing or vanishing,
+/// a capacity change — marks the links it touches *dirty*. Non-dirty links
+/// keep their capacity and their member groups with the same counts, so
+/// step `j` of the previous fill recurs unchanged exactly when
+///
+/// - its selected link is not dirty, and
+/// - no dirty link's new key sorts before `(key_j, link_j)`.
+///
+/// Inductively, the prefix before the first failing step freezes the same
+/// groups at the same levels, and every non-dirty link passes through the
+/// same states. A group frozen in the prefix has a non-dirty selected link,
+/// so its count did not change, and it keeps the rate the caller already
+/// stores. A dirty link's new key comes from its new capacity and active
+/// count, replayed through its own freezes in the prefix. [`refill`]
+/// finds that first step, rewinds only the suffix through the undo log,
+/// and resumes progressive filling from there. The result is bit for bit
+/// the rates a from-scratch fill produces, because the arithmetic of every
+/// step is the same.
+///
+/// Undo entries of a dirty link inside the kept prefix hold that link's
+/// *old* values. The scan that finds the first altered step rewrites them
+/// with the new ones, so a later refill that rewinds past them restores
+/// the current state and not a stale one.
 ///
 /// # Sparsity
 ///
-/// Construction allocates only the per-link arrays (`2 × n_sites` entries);
-/// per-group state (`spec_cache`, `frozen`) is keyed by *position in the
-/// caller's sorted live list*, not by group id, so its footprint is
-/// O(live pairs) even when the caller numbers groups by dense `(src, dst)`
-/// pair index (n² ids). Per-refill bookkeeping that used to reset every
-/// link (union-find parents, dirty-root markers, the scoped-link scan) is
-/// epoch-stamped instead: an incremental refill touches O(live + dirty)
-/// links, never all `2n`.
+/// Construction allocates only the per-link arrays (`2 × n_sites`
+/// entries). Per-group state (`spec_cache`, `link_groups` entries) is keyed
+/// by *position in the caller's sorted live list*, O(live pairs), even when
+/// the caller numbers groups by dense `(src, dst)` pair index. The recorded
+/// fill is O(links) steps and O(live groups) undo entries. A refill costs
+/// O(live) to rebuild the link membership, plus the divergence scan over
+/// the kept prefix's undo entries, plus the suffix it refills.
 ///
-/// # Dirty-link incremental refills
-///
-/// Links and groups form a bipartite graph (each group crosses its source
-/// uplink and destination downlink). Progressive filling is *independent
-/// across connected components* of that graph: freezing a group only
-/// updates the remaining capacity and active count of the two links it
-/// crosses, so the fill arithmetic of one component never observes another.
-/// A mutation (flow added/removed, capacity change) therefore only
-/// invalidates the rates of groups in the components containing the links
-/// it touched — the *dirty* links. [`Waterfiller::refill`] unions the
-/// current live groups' links, scopes the fill to components holding a
-/// dirty link, and leaves every other component's rates untouched. When the
-/// bottleneck structure actually moves — components merge, split, or a
-/// saturation order changes inside one — the moved structure is by
-/// construction inside a dirty component and gets a full (component-wide)
-/// refill, so the result is always *exactly* the rates a from-scratch fill
-/// would produce, bit for bit (the arithmetic sequence per component is
-/// identical).
+/// [`refill`]: Waterfiller::refill
 #[derive(Debug)]
 pub struct Waterfiller {
     n_sites: usize,
-    /// Per-link remaining capacity during a fill (0..n uplinks, n..2n
-    /// downlinks).
-    rem: Vec<f64>,
-    /// Per-link count of unfrozen flows.
-    act: Vec<usize>,
-    /// Per-link list of live-list positions of the groups crossing it
-    /// (rebuilt per refill, scoped). Positions, not group ids: the fill
-    /// never indexes anything by the caller's (possibly dense-pair) ids.
+    /// Per-link fill state (0..n uplinks, n..2n downlinks). Between refills
+    /// it holds the final state of the recorded fill.
+    links: Vec<LinkFill>,
+    /// Per-link list of live-list positions of the groups crossing it,
+    /// ascending (the fill's arithmetic order). Rebuilt every refill.
+    /// Positions, not group ids: the fill never indexes anything by the
+    /// caller's (possibly dense-pair) ids.
     link_groups: Vec<Vec<u32>>,
-    /// Saturation heap of `(level key, link)` packed into a `u128`
-    /// (`key << 64 | link`; one-word compares), min-first. Ordering is
-    /// identical to the `(key, link)` tuple.
+    /// Links with a non-empty `link_groups` entry.
+    live_links: Vec<u32>,
+    /// `(uplink, downlink, count)` per live-list position for the current
+    /// refill, so the fill stays on this compact array instead of chasing
+    /// the caller's group records.
+    spec_cache: Vec<(u32, u32, u32)>,
+    /// Saturation heap of [`pack`]ed `(level key, link)` entries, min-first.
     heap: BinaryHeap<Reverse<u128>>,
-    /// Per-live-position frozen marker, rebuilt each refill (O(live)).
-    frozen: Vec<bool>,
-    /// Union-find parent over links. Lazily reset: a link whose
-    /// `parent_epoch` lags the current epoch reads as a fresh singleton,
-    /// so no O(links) clear pass runs per refill.
-    parent: Vec<u32>,
-    parent_epoch: Vec<u64>,
-    /// Bumped at the start of every refill that does work; validates
-    /// `parent_epoch`, `dirty_root_epoch` and `scoped_epoch` entries.
-    epoch: u64,
+    /// The recorded fill: one entry per saturation step.
+    steps: Vec<Step>,
+    /// Undo log of the recorded fill, in freeze order.
+    undo: Vec<Undo>,
     /// Links marked dirty by mutations since the last refill.
     dirty_links: Vec<usize>,
     dirty_mask: Vec<bool>,
     all_dirty: bool,
-    /// Per-link root-dirty marker: the root is dirty iff its entry equals
-    /// the current epoch.
-    dirty_root_epoch: Vec<u64>,
-    /// Links participating in the current scoped fill (each reset exactly
-    /// once per refill, guarded by `scoped_epoch`).
-    scoped_links: Vec<usize>,
-    scoped_epoch: Vec<u64>,
-    /// `(src, dst, count)` per live-list position, cached for the current
-    /// refill so the fill loop stays on this compact array instead of
-    /// chasing the caller's group records. Sized to the live list —
-    /// O(live pairs), independent of how sparse or dense the caller's
-    /// group-id space is.
-    spec_cache: Vec<(u32, u32, u32)>,
-    /// Scratch the frozen link's member list is swapped into (the buffers
-    /// circulate between this and `link_groups`, so freezing never
-    /// deallocates).
-    members_scratch: Vec<u32>,
-    /// Key of the most recent heap push per link. The fill keeps the
-    /// invariant that every active link has an entry at or below its
-    /// current saturation level: levels are monotone over the fill modulo
-    /// float rounding, so only the (rare) downward rounding moves need a
-    /// fresh push — see the freeze loop.
-    best_key: Vec<u64>,
     /// `(group, new rate)` pairs produced by the last refill.
     refilled: Vec<(usize, f64)>,
+    stats: WaterfillStats,
 }
 
 impl Waterfiller {
     /// Creates a waterfiller over `n_sites` sites (2 × `n_sites` links).
+    /// The first refill is a full fill.
     pub fn new(n_sites: usize) -> Self {
         let links = 2 * n_sites;
         Self {
             n_sites,
-            rem: vec![0.0; links],
-            act: vec![0; links],
+            links: vec![LinkFill::default(); links],
             link_groups: vec![Vec::new(); links],
+            live_links: Vec::new(),
+            spec_cache: Vec::new(),
             heap: BinaryHeap::new(),
-            frozen: Vec::new(),
-            parent: vec![0; links],
-            parent_epoch: vec![0; links],
-            epoch: 0,
+            steps: Vec::new(),
+            undo: Vec::new(),
             dirty_links: Vec::new(),
             dirty_mask: vec![false; links],
-            all_dirty: false,
-            dirty_root_epoch: vec![0; links],
-            scoped_links: Vec::new(),
-            scoped_epoch: vec![0; links],
-            spec_cache: Vec::new(),
-            members_scratch: Vec::new(),
-            best_key: vec![0; links],
+            all_dirty: true,
             refilled: Vec::new(),
+            stats: WaterfillStats::default(),
         }
     }
 
-    /// Marks one site's uplink or downlink dirty: the next [`refill`] will
-    /// recompute every group in that link's connected component.
+    /// Marks one site's uplink (`link < n_sites`) or downlink
+    /// (`n_sites + site`) dirty: its capacity or the counts of the groups
+    /// crossing it changed since the last [`refill`].
     ///
     /// [`refill`]: Waterfiller::refill
     #[inline]
     pub fn mark_dirty(&mut self, link: usize) {
-        if !self.dirty_mask[link] && !self.all_dirty {
-            self.dirty_mask[link] = true;
-            self.dirty_links.push(link);
+        if self.all_dirty {
+            return;
+        }
+        if let Some(m) = self.dirty_mask.get_mut(link) {
+            if !*m {
+                *m = true;
+                self.dirty_links.push(link);
+            }
         }
     }
 
@@ -260,15 +359,13 @@ impl Waterfiller {
         self.mark_dirty(self.n_sites + dst);
     }
 
-    /// Marks everything dirty: the next [`refill`] recomputes all live
-    /// groups.
+    /// Marks everything dirty: the next [`refill`] discards the recorded
+    /// fill and fills every live group from scratch.
     ///
     /// [`refill`]: Waterfiller::refill
     pub fn mark_all_dirty(&mut self) {
         self.all_dirty = true;
-        for l in self.dirty_links.drain(..) {
-            self.dirty_mask[l] = false;
-        }
+        self.clear_dirty_links();
     }
 
     /// Whether any link is marked dirty.
@@ -276,34 +373,26 @@ impl Waterfiller {
         self.all_dirty || !self.dirty_links.is_empty()
     }
 
-    fn find(&mut self, l: usize) -> usize {
-        // Lazy singleton: an unstamped link has never been unioned this
-        // epoch, so it is its own root (parents are only written between
-        // stamped links, so stamped chains never escape the epoch).
-        if self.parent_epoch[l] != self.epoch {
-            self.parent_epoch[l] = self.epoch;
-            self.parent[l] = l as u32;
-            return l;
-        }
-        let mut root = l;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
-        }
-        let mut cur = l;
-        while self.parent[cur] as usize != root {
-            let next = self.parent[cur] as usize;
-            self.parent[cur] = root as u32;
-            cur = next;
-        }
-        root
+    /// Cumulative work counters since construction.
+    pub fn stats(&self) -> WaterfillStats {
+        self.stats
     }
 
-    /// Recomputes the rates of every live group whose component contains a
-    /// dirty link, clearing the dirty set. `live` must list live (count > 0)
+    fn clear_dirty_links(&mut self) {
+        for l in self.dirty_links.drain(..) {
+            if let Some(m) = self.dirty_mask.get_mut(l) {
+                *m = false;
+            }
+        }
+    }
+
+    /// Recomputes the rates of every live group whose freeze step lies at
+    /// or after the first step of the previous fill that a dirty link can
+    /// alter, and clears the dirty set. `live` must list live (count > 0)
     /// group ids in ascending order; `spec` maps a group id to its
     /// `(src, dst, count)`. The results are exposed via
-    /// [`Waterfiller::refilled`]; groups outside the dirty components are
-    /// not recomputed and keep whatever rate the caller stored for them.
+    /// [`Waterfiller::refilled`]; every other live group keeps, bit for bit,
+    /// the rate the caller stored for it from an earlier refill.
     pub fn refill(
         &mut self,
         live: &[usize],
@@ -315,169 +404,281 @@ impl Waterfiller {
         assert_eq!(up_gbps.len(), n);
         assert_eq!(down_gbps.len(), n);
         self.refilled.clear();
-        let full = self.all_dirty;
-        if !full && self.dirty_links.is_empty() {
+        if !self.is_dirty() {
             return;
         }
-        // One epoch per working refill: invalidates last refill's parents,
-        // dirty-root marks and scoped marks without clearing them.
-        self.epoch += 1;
-
-        // Cache every live group's spec once, keyed by live-list position;
-        // all later passes read the compact array. Also union the live
-        // groups' link pairs and mark the roots reached by dirty links (a
-        // full refill scopes every live group, so it skips the union pass).
-        self.spec_cache.clear();
-        self.frozen.clear();
-        self.frozen.resize(live.len(), false);
-        if full {
-            for &g in live {
-                let (src, dst, count) = spec(g);
-                assert!(src != dst, "local flows cannot be grouped");
-                assert!(src < n && dst < n);
-                self.spec_cache.push((src as u32, dst as u32, count as u32));
+        self.rebuild_membership(live, spec);
+        let keep = if self.all_dirty {
+            self.steps.clear();
+            self.undo.clear();
+            for i in 0..self.live_links.len() {
+                if let Some(&l) = self.live_links.get(i) {
+                    self.reset_link(l as usize, up_gbps, down_gbps);
+                }
             }
+            0
         } else {
-            for &g in live {
-                let (src, dst, count) = spec(g);
-                assert!(src != dst, "local flows cannot be grouped");
-                assert!(src < n && dst < n);
-                self.spec_cache.push((src as u32, dst as u32, count as u32));
-                let (a, b) = (self.find(src), self.find(n + dst));
-                if a != b {
-                    self.parent[a] = b as u32;
-                }
-            }
-            for i in 0..self.dirty_links.len() {
-                let l = self.dirty_links[i];
-                let r = self.find(l);
-                self.dirty_root_epoch[r] = self.epoch;
+            let keep = self.divergence(up_gbps, down_gbps);
+            self.rewind(keep);
+            keep
+        };
+        self.fill(live);
+        self.stats.refills += 1;
+        self.stats.steps_reused += keep as u64;
+        self.stats.groups_refrozen += self.refilled.len() as u64;
+        self.all_dirty = false;
+        self.clear_dirty_links();
+    }
+
+    /// Caches the live groups' specs and rebuilds the link membership lists.
+    fn rebuild_membership(
+        &mut self,
+        live: &[usize],
+        spec: impl Fn(usize) -> (usize, usize, usize),
+    ) {
+        let n = self.n_sites;
+        for &l in &self.live_links {
+            if let Some(members) = self.link_groups.get_mut(l as usize) {
+                members.clear();
             }
         }
-
-        // Collect the scoped group set into the link membership lists
-        // (ascending live order — the fill's arithmetic order), resetting
-        // each scoped link's fill state on first touch. Only links crossed
-        // by in-scope groups are visited; a dirty link with no live group
-        // has nothing to recompute.
-        self.scoped_links.clear();
-        for i in 0..self.spec_cache.len() {
-            let (src, dst, count) = self.spec_cache[i];
-            let (src, dst, count) = (src as usize, dst as usize, count as usize);
-            let in_scope = full || {
-                let r = self.find(src);
-                self.dirty_root_epoch[r] == self.epoch
-            };
-            if !in_scope {
-                continue;
-            }
+        self.live_links.clear();
+        self.spec_cache.clear();
+        for (i, &g) in live.iter().enumerate() {
+            let (src, dst, count) = spec(g);
+            assert!(src != dst, "local flows cannot be grouped");
+            assert!(src < n && dst < n);
+            debug_assert!(count > 0, "live groups carry flows");
+            self.spec_cache
+                .push((src as u32, (n + dst) as u32, count as u32));
             for l in [src, n + dst] {
-                if self.scoped_epoch[l] != self.epoch {
-                    self.scoped_epoch[l] = self.epoch;
-                    self.scoped_links.push(l);
-                    self.rem[l] = if l < n { up_gbps[l] } else { down_gbps[l - n] };
-                    self.act[l] = 0;
-                    self.link_groups[l].clear();
+                if let Some(members) = self.link_groups.get_mut(l) {
+                    if members.is_empty() {
+                        self.live_links.push(l as u32);
+                    }
+                    members.push(i as u32);
                 }
             }
-            self.act[src] += count;
-            self.act[n + dst] += count;
-            self.link_groups[src].push(i as u32);
-            self.link_groups[n + dst].push(i as u32);
         }
+    }
 
-        // Progressive filling over the scoped component(s), identical to a
-        // from-scratch fill restricted to them: saturation levels are
-        // monotone over the filling (freezing a group can only raise the
-        // level at which other links saturate), so a stale heap entry is
-        // simply re-pushed with its recomputed level. Each group freezes
-        // exactly once, giving `O(groups + links·log links)` per refill.
-        debug_assert!(self.heap.is_empty());
-        let pack = |k: u64, l: usize| ((k as u128) << 64) | l as u128;
-        let mut heap_buf = std::mem::take(&mut self.heap).into_vec();
-        heap_buf.clear();
-        for i in 0..self.scoped_links.len() {
-            let l = self.scoped_links[i];
-            if self.act[l] > 0 {
-                let k = key(self.rem[l].max(0.0) / self.act[l] as f64);
-                self.best_key[l] = k;
-                heap_buf.push(Reverse(pack(k, l)));
+    /// Puts link `l` in its initial state: full capacity, every member
+    /// group's flows active.
+    fn reset_link(&mut self, l: usize, up_gbps: &[f64], down_gbps: &[f64]) {
+        let n = self.n_sites;
+        let cap = if l < n {
+            up_gbps.get(l)
+        } else {
+            down_gbps.get(l - n)
+        };
+        let act = self.link_groups.get(l).map_or(0, |members| {
+            members
+                .iter()
+                .filter_map(|&i| self.spec_cache.get(i as usize))
+                .map(|&(_, _, count)| count)
+                .sum()
+        });
+        if let Some(lf) = self.links.get_mut(l) {
+            lf.rem = cap.copied().unwrap_or(0.0);
+            lf.act = act;
+        }
+    }
+
+    /// Length of the prefix of the recorded fill that the pending mutations
+    /// cannot alter (the divergence rule in the type docs). Leaves every
+    /// dirty link in its state at the end of that prefix, with its undo
+    /// entries inside the prefix rewritten to the new values.
+    fn divergence(&mut self, up_gbps: &[f64], down_gbps: &[f64]) -> usize {
+        for i in 0..self.dirty_links.len() {
+            if let Some(&d) = self.dirty_links.get(i) {
+                self.reset_link(d, up_gbps, down_gbps);
             }
         }
-        // Heapify in one O(links) pass; link keys are distinct, so the pop
-        // order matches one-by-one pushes exactly.
         let Waterfiller {
-            rem,
-            act,
-            link_groups,
+            links,
             heap,
-            frozen,
-            spec_cache,
-            members_scratch,
-            refilled,
-            best_key,
+            steps,
+            undo,
+            dirty_links,
+            dirty_mask,
             ..
-        } = &mut *self;
-        *heap = BinaryHeap::from(heap_buf);
-        while let Some(Reverse(packed)) = heap.pop() {
-            let (stored, l) = ((packed >> 64) as u64, packed as u64 as usize);
-            if act[l] == 0 {
-                continue;
+        } = self;
+        let dirty = |l: usize| dirty_mask.get(l).copied().unwrap_or(false);
+        // A lazy min-heap over the dirty links' current orders, kept with
+        // the fill loop's at-or-below invariant: its first entry that
+        // validates is the dirty argmin.
+        heap.clear();
+        for &d in dirty_links.iter() {
+            if let Some(lf) = links.get_mut(d) {
+                if lf.act > 0 {
+                    lf.best_key = key(lf.level());
+                    heap.push(Reverse(pack(lf.best_key, d)));
+                }
             }
-            let exact = rem[l].max(0.0) / act[l] as f64;
-            if key(exact) > stored {
-                best_key[l] = key(exact);
-                heap.push(Reverse(pack(key(exact), l)));
-                continue;
+        }
+        for j in 0..steps.len() {
+            let Some(&step) = steps.get(j) else { break };
+            if dirty(link_of(step.order)) {
+                return j;
             }
-            // Freeze every unfrozen group crossing link `l` at this level.
-            // The member list swaps against a scratch buffer (leaving the
-            // link's list empty, as the fill requires) so no Vec is dropped
-            // or grown from zero on this path.
-            let level = exact;
-            members_scratch.clear();
-            std::mem::swap(members_scratch, &mut link_groups[l]);
-            for &i in members_scratch.iter() {
-                let i = i as usize;
-                if frozen[i] {
+            while let Some(&Reverse(top)) = heap.peek() {
+                if top >= step.order {
+                    break;
+                }
+                let d = link_of(top);
+                let Some(lf) = links.get_mut(d) else {
+                    heap.pop();
+                    continue;
+                };
+                if lf.act == 0 {
+                    heap.pop();
                     continue;
                 }
-                frozen[i] = true;
-                refilled.push((live[i], level));
-                let (src, dst, count) = spec_cache[i];
-                let (src, dst, count) = (src as usize, dst as usize, count as usize);
-                // Counterpart links almost never need a re-push: the entry
-                // behind `best_key[m]` is still at or below the new level
-                // (levels are monotone over the fill), and the
-                // revalidate-and-repush step above restores the exact key
-                // when it surfaces. Only a *downward* float-rounding move —
-                // the new level landing below every live entry — needs a
-                // fresh push to keep the at-or-below invariant, so the
-                // freeze order stays exactly that of an eager heap while
-                // the heap itself stays at `O(links)` entries.
-                for m in [src, n + dst] {
-                    act[m] -= count;
-                    rem[m] = (rem[m] - level * count as f64).max(0.0);
-                    if act[m] > 0 {
-                        let nk = key(rem[m] / act[m] as f64);
-                        if nk < best_key[m] {
-                            best_key[m] = nk;
-                            heap.push(Reverse(pack(nk, m)));
-                        }
-                    }
+                let k = key(lf.level());
+                if k > key_of(top) {
+                    heap.pop();
+                    lf.best_key = k;
+                    heap.push(Reverse(pack(k, d)));
+                    continue;
+                }
+                // A dirty link now saturates before step `j`'s link.
+                return j;
+            }
+            // Step `j` recurs: replay its freezes onto the dirty links.
+            let end = steps.get(j + 1).map_or(undo.len(), |s| s.undo_start);
+            for e in undo.get_mut(step.undo_start..end).into_iter().flatten() {
+                let l = e.link as usize;
+                if !dirty(l) {
+                    continue;
+                }
+                let Some(lf) = links.get_mut(l) else { continue };
+                e.act = lf.act;
+                e.rem = lf.rem;
+                lf.freeze(step.level, e.count, l, heap);
+            }
+        }
+        steps.len()
+    }
+
+    /// Rewinds the recorded fill to its first `keep` steps. Dirty links are
+    /// skipped: [`Waterfiller::divergence`] already put them in their state
+    /// at the cut.
+    fn rewind(&mut self, keep: usize) {
+        let Waterfiller {
+            links,
+            steps,
+            undo,
+            dirty_mask,
+            ..
+        } = self;
+        let dirty = |l: usize| dirty_mask.get(l).copied().unwrap_or(false);
+        while steps.len() > keep {
+            let Some(step) = steps.pop() else { break };
+            let l = link_of(step.order);
+            if !dirty(l) {
+                if let Some(lf) = links.get_mut(l) {
+                    lf.act = step.act;
                 }
             }
-            act[l] = 0;
+            for e in undo.get(step.undo_start..).into_iter().flatten().rev() {
+                let l = e.link as usize;
+                if dirty(l) {
+                    continue;
+                }
+                if let Some(lf) = links.get_mut(l) {
+                    lf.act = e.act;
+                    lf.rem = e.rem;
+                }
+            }
+            undo.truncate(step.undo_start);
         }
+    }
 
-        self.all_dirty = false;
-        for l in self.dirty_links.drain(..) {
-            self.dirty_mask[l] = false;
+    /// Progressive filling from the current link states, appending to the
+    /// recorded fill. Each group freezes once, giving
+    /// `O(groups + links·log links)` for a full fill.
+    fn fill(&mut self, live: &[usize]) {
+        let Waterfiller {
+            links,
+            link_groups,
+            live_links,
+            spec_cache,
+            heap,
+            steps,
+            undo,
+            refilled,
+            ..
+        } = self;
+        // Heapify in one O(links) pass; link keys are distinct, so the pop
+        // order matches one-by-one pushes exactly.
+        let mut buf = std::mem::take(heap).into_vec();
+        buf.clear();
+        for &l in live_links.iter() {
+            let l = l as usize;
+            if let Some(lf) = links.get_mut(l) {
+                if lf.act > 0 {
+                    lf.best_key = key(lf.level());
+                    buf.push(Reverse(pack(lf.best_key, l)));
+                }
+            }
+        }
+        *heap = BinaryHeap::from(buf);
+        // Every active link keeps an entry at or below its current key:
+        // levels are monotone over the fill modulo float rounding, so a
+        // stale entry is re-pushed with its recomputed key when it
+        // surfaces, and only a *downward* rounding move (see
+        // `LinkFill::freeze`) needs an eager push.
+        while let Some(Reverse(packed)) = heap.pop() {
+            let l = link_of(packed);
+            let Some(lf) = links.get_mut(l) else { continue };
+            if lf.act == 0 {
+                continue;
+            }
+            let level = lf.level();
+            if key(level) > key_of(packed) {
+                lf.best_key = key(level);
+                heap.push(Reverse(pack(lf.best_key, l)));
+                continue;
+            }
+            steps.push(Step {
+                order: packed,
+                level,
+                act: lf.act,
+                undo_start: undo.len(),
+            });
+            lf.act = 0;
+            // Freeze every unfrozen group crossing `l` at this level. A
+            // group is already frozen exactly when its other link saturated
+            // at an earlier step, which left that link's count at zero.
+            let members = link_groups.get(l).map(Vec::as_slice).unwrap_or_default();
+            for &i in members {
+                let Some(&(up, down, count)) = spec_cache.get(i as usize) else {
+                    continue;
+                };
+                let other = if up as usize == l { down } else { up };
+                let Some(o) = links.get_mut(other as usize) else {
+                    continue;
+                };
+                if o.act == 0 {
+                    continue;
+                }
+                undo.push(Undo {
+                    link: other,
+                    count,
+                    act: o.act,
+                    rem: o.rem,
+                });
+                o.freeze(level, count, other as usize, heap);
+                if let Some(&g) = live.get(i as usize) {
+                    refilled.push((g, level));
+                }
+            }
         }
     }
 
     /// The `(group, per-flow rate)` results of the last [`refill`]: exactly
-    /// the groups inside the dirty components, each frozen once.
+    /// the groups frozen at or after the first step a dirty link altered,
+    /// each once.
     ///
     /// [`refill`]: Waterfiller::refill
     pub fn refilled(&self) -> &[(usize, f64)] {
@@ -563,16 +764,17 @@ mod tests {
         }
     }
 
-    /// Incremental refills (dirty-link scoping) must reproduce the full
-    /// fill bit for bit, for every mutation in a deterministic churn
-    /// sequence.
+    /// Replayed refills must reproduce the full fill bit for bit through a
+    /// deterministic churn sequence: bursts of several pair mutations and a
+    /// capacity change (to zero and back included) before one refill,
+    /// groups dying and reviving, and `mark_all_dirty` mid-stream.
     #[test]
     fn incremental_refill_matches_full_fill_bitwise() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let n = 6;
-        let up: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..8.0)).collect();
-        let down: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..8.0)).collect();
+        let mut up: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..8.0)).collect();
+        let mut down: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..8.0)).collect();
         // One group per ordered pair; counts mutate over time.
         let pairs: Vec<(usize, usize)> = (0..n)
             .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
@@ -580,15 +782,45 @@ mod tests {
         let mut counts = vec![0usize; pairs.len()];
         let mut rates = vec![0.0f64; pairs.len()];
         let mut wf = Waterfiller::new(n);
-        for step in 0..400 {
-            let g = rng.gen_range(0..pairs.len());
-            if counts[g] > 0 && rng.gen_bool(0.4) {
-                counts[g] -= 1;
-            } else {
-                counts[g] += rng.gen_range(1..4usize);
+        let mut zeroed: Option<(usize, f64, f64)> = None;
+        for step in 0..600 {
+            for _ in 0..rng.gen_range(1..5) {
+                let g = rng.gen_range(0..pairs.len());
+                if counts[g] > 0 && rng.gen_bool(0.4) {
+                    // Sometimes the whole group dies at once.
+                    counts[g] = if rng.gen_bool(0.3) { 0 } else { counts[g] - 1 };
+                } else {
+                    counts[g] += rng.gen_range(1..4usize);
+                }
+                let (s, d) = pairs[g];
+                wf.mark_pair_dirty(s, d);
             }
-            let (s, d) = pairs[g];
-            wf.mark_pair_dirty(s, d);
+            if rng.gen_bool(0.3) {
+                // A site's links go to zero and come back a few steps later.
+                let s = match zeroed.take() {
+                    Some((s, u, d)) => {
+                        up[s] = u;
+                        down[s] = d;
+                        s
+                    }
+                    None => {
+                        let s = rng.gen_range(0..n);
+                        if rng.gen_bool(0.5) {
+                            zeroed = Some((s, up[s], down[s]));
+                            up[s] = 0.0;
+                            down[s] = 0.0;
+                        } else {
+                            up[s] = rng.gen_range(0.5..8.0);
+                            down[s] = rng.gen_range(0.5..8.0);
+                        }
+                        s
+                    }
+                };
+                wf.mark_pair_dirty(s, s);
+            }
+            if step % 97 == 50 {
+                wf.mark_all_dirty();
+            }
             let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
             wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
             for &(g, r) in wf.refilled() {
@@ -609,5 +841,141 @@ mod tests {
                 );
             }
         }
+        let stats = wf.stats();
+        assert!(stats.steps_reused > 0, "no refill reused a step: {stats:?}");
+    }
+
+    /// Three groups into one wide downlink, each bottlenecked on its own
+    /// uplink: the fill saturates uplinks 0, 1, 2 at levels 1, 2, 3.
+    fn three_uplink_fill() -> (Waterfiller, Vec<f64>, Vec<f64>) {
+        let up = vec![1.0, 2.0, 3.0, 9.0];
+        let down = vec![9.0, 9.0, 9.0, 100.0];
+        let mut wf = Waterfiller::new(4);
+        wf.refill(&[0, 1, 2], |g| (g, 3, 1), &up, &down);
+        assert_eq!(wf.refilled(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
+        assert_eq!(wf.steps.len(), 3);
+        (wf, up, down)
+    }
+
+    /// Refills `wf` after the caller's mutations and checks the result
+    /// against a from-scratch fill; returns the steps the refill kept.
+    fn replay_and_check(wf: &mut Waterfiller, counts: &[usize], up: &[f64], down: &[f64]) -> u64 {
+        let before = wf.stats();
+        let live: Vec<usize> = (0..3).filter(|&g| counts[g] > 0).collect();
+        wf.refill(&live, |g| (g, 3, counts[g]), up, down);
+        let specs: Vec<GroupSpec> = (0..3)
+            .map(|g| GroupSpec {
+                src: g,
+                dst: 3,
+                count: counts[g],
+            })
+            .collect();
+        let want = waterfill_groups(&specs, up, down);
+        for &(g, r) in wf.refilled() {
+            assert_eq!(r.to_bits(), want[g].to_bits(), "group {g}");
+        }
+        let after = wf.stats();
+        assert_eq!(after.refills, before.refills + 1);
+        assert_eq!(
+            after.groups_refrozen - before.groups_refrozen,
+            wf.refilled().len() as u64
+        );
+        after.steps_reused - before.steps_reused
+    }
+
+    #[test]
+    fn divergence_at_step_zero() {
+        // Zeroing uplink 2 makes it saturate first (level 0).
+        let (mut wf, mut up, down) = three_uplink_fill();
+        up[2] = 0.0;
+        wf.mark_pair_dirty(2, 2);
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 0);
+        assert_eq!(wf.refilled().len(), 3);
+        // And back: the zeroed link's step moves back to the end.
+        up[2] = 3.0;
+        wf.mark_pair_dirty(2, 2);
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 0);
+        assert_eq!(wf.refilled(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
+    }
+
+    #[test]
+    fn divergence_mid_fill_refreezes_only_the_suffix() {
+        // A mutation on the last-saturating link keeps the first two steps
+        // and refreezes one group of three: no silent full fill.
+        let (mut wf, mut up, down) = three_uplink_fill();
+        up[2] = 4.0;
+        wf.mark_pair_dirty(2, 2);
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 2);
+        assert_eq!(wf.refilled(), &[(2, 4.0)]);
+        // A second flow on group 1 halves its level to 1, tying uplink 0:
+        // the tie breaks on the link index, so step 0 still recurs.
+        wf.mark_pair_dirty(1, 3);
+        assert_eq!(replay_and_check(&mut wf, &[1, 2, 1], &up, &down), 1);
+        assert_eq!(wf.refilled(), &[(1, 1.0), (2, 4.0)]);
+        // Group 1 dies and revives.
+        wf.mark_pair_dirty(1, 3);
+        assert_eq!(replay_and_check(&mut wf, &[1, 0, 1], &up, &down), 1);
+        assert_eq!(wf.refilled(), &[(2, 4.0)]);
+        wf.mark_pair_dirty(1, 3);
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 1);
+        assert_eq!(wf.refilled(), &[(1, 2.0), (2, 4.0)]);
+    }
+
+    #[test]
+    fn divergence_past_the_last_step_refreezes_nothing() {
+        // The shared downlink never saturates; raising it alters no step,
+        // though its replayed count reaches zero through all three.
+        let (mut wf, up, mut down) = three_uplink_fill();
+        down[3] = 200.0;
+        wf.mark_dirty(4 + 3);
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 3);
+        assert!(wf.refilled().is_empty());
+        // A full refill after `mark_all_dirty` reuses nothing.
+        wf.mark_all_dirty();
+        assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 0);
+        assert_eq!(wf.refilled().len(), 3);
+    }
+
+    /// The trap: a dirty link's undo entries inside the kept prefix hold
+    /// its old values. A later refill that rewinds past them, with the link
+    /// clean by then, must restore the state it had in the newer fill.
+    #[test]
+    fn rewinding_past_a_rewritten_prefix_restores_new_values() {
+        // Groups 0->2 and 1->2 share downlink 2 (link 5). Uplink 0
+        // saturates first, and its freeze lowers downlink 2 at step 0.
+        let mut up = vec![1.0, 5.0, 9.0];
+        let mut down = vec![9.0, 9.0, 4.0];
+        let mut wf = Waterfiller::new(3);
+        let mut rates = [0.0; 2];
+        let mut check = |wf: &mut Waterfiller, up: &[f64], down: &[f64]| {
+            wf.refill(&[0, 1], |g| (g, 2, 1), up, down);
+            for &(g, r) in wf.refilled() {
+                rates[g] = r;
+            }
+            let groups = [0, 1].map(|src| GroupSpec {
+                src,
+                dst: 2,
+                count: 1,
+            });
+            let want = waterfill_groups(&groups, up, down);
+            assert_eq!(
+                rates.map(f64::to_bits),
+                [want[0].to_bits(), want[1].to_bits()]
+            );
+        };
+        check(&mut wf, &up, &down);
+        // Downlink 2 widens: step 0 is kept and its downlink-2 entry must
+        // take the new capacity.
+        down[2] = 6.0;
+        wf.mark_dirty(3 + 2);
+        check(&mut wf, &up, &down);
+        assert_eq!(wf.stats().steps_reused, 1);
+        // Uplink 0 changes: the refill rewinds through step 0, restoring
+        // downlink 2 from that entry. A stale entry would hand group 1 the
+        // rate 2.5 instead of 4.5.
+        up[0] = 1.5;
+        wf.mark_pair_dirty(0, 0);
+        check(&mut wf, &up, &down);
+        assert_eq!(rates, [1.5, 4.5]);
     }
 }

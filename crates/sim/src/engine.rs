@@ -38,6 +38,29 @@ pub enum SimError {
         /// Attempts lost when the run aborted.
         retries: usize,
     },
+    /// The scheduler returned a plan the engine cannot apply. The run ends
+    /// at the scheduling instance that produced it.
+    BadPlan {
+        /// Job the plan names.
+        job: JobId,
+        /// Stage index the plan names.
+        stage: usize,
+        /// What is wrong with the plan.
+        problem: PlanProblem,
+    },
+}
+
+/// Why the engine rejected a scheduler's [`crate::StagePlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanProblem {
+    /// No admitted job has the plan's id.
+    UnknownJob,
+    /// The job has no stage with the plan's index.
+    UnknownStage,
+    /// An assignment names a task index the stage does not have.
+    UnknownTask(usize),
+    /// An assignment names a site outside the cluster.
+    UnknownSite(SiteId),
 }
 
 impl std::fmt::Display for SimError {
@@ -56,6 +79,22 @@ impl std::fmt::Display for SimError {
                     f,
                     "task {task} of job {job} stage {stage} lost {retries} attempts"
                 )
+            }
+            SimError::BadPlan {
+                job,
+                stage,
+                problem,
+            } => {
+                write!(
+                    f,
+                    "scheduler returned a bad plan for job {job} stage {stage}: "
+                )?;
+                match problem {
+                    PlanProblem::UnknownJob => write!(f, "unknown job"),
+                    PlanProblem::UnknownStage => write!(f, "unknown stage"),
+                    PlanProblem::UnknownTask(t) => write!(f, "unknown task {t}"),
+                    PlanProblem::UnknownSite(x) => write!(f, "site {} out of range", x.index()),
+                }
             }
         }
     }
@@ -329,6 +368,9 @@ impl Engine {
                     // Idle but unfinished: give the scheduler one more chance
                     // (e.g. it withheld assignments waiting for more slots).
                     let launched = self.run_scheduler(Trigger::IdleRetry);
+                    if let Some(e) = self.fatal.take() {
+                        return Err(e);
+                    }
                     if launched == 0 {
                         return Err(SimError::Stalled {
                             unfinished: self.unfinished(),
@@ -811,23 +853,36 @@ impl Engine {
             (0, 0)
         };
 
+        let n_sites = self.cluster.len();
         for plan in plans {
-            let j = *self
-                .job_index
-                .get(&plan.job)
-                .unwrap_or_else(|| panic!("plan for unknown job {}", plan.job));
             let s = plan.stage;
-            assert!(
-                s < self.jobs[j].stages.len(),
-                "plan for unknown stage {s} of {}",
-                plan.job
-            );
-            if self.jobs[j].stages[s].status != StageStatus::Runnable {
+            let bad = |problem| SimError::BadPlan {
+                job: plan.job,
+                stage: s,
+                problem,
+            };
+            let Some(&j) = self.job_index.get(&plan.job) else {
+                self.fatal.get_or_insert(bad(PlanProblem::UnknownJob));
+                return 0;
+            };
+            let Some(stage) = self.jobs.get_mut(j).and_then(|job| job.stages.get_mut(s)) else {
+                self.fatal.get_or_insert(bad(PlanProblem::UnknownStage));
+                return 0;
+            };
+            if stage.status != StageStatus::Runnable {
                 continue;
             }
             for a in plan.assignments {
-                assert!(a.site.index() < self.cluster.len(), "bad site in plan");
-                let task = &mut self.jobs[j].stages[s].tasks[a.task];
+                if a.site.index() >= n_sites {
+                    self.fatal
+                        .get_or_insert(bad(PlanProblem::UnknownSite(a.site)));
+                    return 0;
+                }
+                let Some(task) = stage.tasks.get_mut(a.task) else {
+                    self.fatal
+                        .get_or_insert(bad(PlanProblem::UnknownTask(a.task)));
+                    return 0;
+                };
                 if task.state == TaskState::Unlaunched {
                     // Queued events record first assignments and site moves;
                     // re-assignments to the same site would flood the stream
@@ -2049,6 +2104,68 @@ mod tests {
         .run()
         .unwrap_err();
         assert_eq!(err, SimError::Stalled { unfinished: 1 });
+    }
+
+    /// A scheduler that answers every instance with one fixed plan, valid
+    /// or not.
+    struct RogueScheduler(StagePlan);
+
+    impl Scheduler for RogueScheduler {
+        fn name(&self) -> &str {
+            "rogue"
+        }
+        fn schedule(&mut self, _s: &Snapshot) -> Vec<StagePlan> {
+            vec![self.0.clone()]
+        }
+    }
+
+    fn run_with_plan(plan: StagePlan) -> Result<RunReport, SimError> {
+        let input = DataDistribution::new(vec![1.0, 0.0]);
+        let job = Job::new(
+            JobId(0),
+            "m",
+            0.0,
+            vec![tetrium_jobs::Stage::root_map(input, 1, 1.0, 1.0)],
+        );
+        Engine::new(
+            cluster2(),
+            vec![job],
+            Box::new(RogueScheduler(plan)),
+            EngineConfig::default(),
+        )
+        .run()
+    }
+
+    #[test]
+    fn bad_plans_end_the_run_with_typed_errors() {
+        let plan = |job, stage, task, site| StagePlan {
+            job: JobId(job),
+            stage,
+            assignments: vec![TaskAssignment {
+                task,
+                site: SiteId(site),
+                priority: 0,
+            }],
+        };
+        let cases = [
+            (plan(7, 0, 0, 0), PlanProblem::UnknownJob),
+            (plan(0, 3, 0, 0), PlanProblem::UnknownStage),
+            (plan(0, 0, 5, 0), PlanProblem::UnknownTask(5)),
+            (plan(0, 0, 0, 9), PlanProblem::UnknownSite(SiteId(9))),
+        ];
+        for (bad, problem) in cases {
+            let want = SimError::BadPlan {
+                job: bad.job,
+                stage: bad.stage,
+                problem,
+            };
+            assert_eq!(run_with_plan(bad.clone()).unwrap_err(), want);
+            assert_eq!(run_with_plan(bad).unwrap_err(), want, "deterministic");
+            assert!(want.to_string().contains("bad plan"));
+        }
+        // The same scheduler with a valid plan completes the run.
+        let report = run_with_plan(plan(0, 0, 0, 1)).unwrap();
+        assert_eq!(report.jobs.len(), 1);
     }
 
     /// Speculation + capped fetch concurrency: a copy (or a cancelled

@@ -40,7 +40,7 @@ pub fn audit_enabled() -> bool {
 }
 
 pub use config::{BatchPolicy, EngineConfig, SpeculationConfig};
-pub use engine::{Engine, SimError};
+pub use engine::{Engine, PlanProblem, SimError};
 pub use report::{JobOutcome, RunReport, TaskTrace};
 pub use sched::{
     JobSnapshot, Scheduler, SiteState, Snapshot, StageMeta, StagePlan, StageSnapshot,

@@ -166,9 +166,9 @@ proptest! {
 
     /// Capacity-churn-heavy differential check: `set_capacity` dominates the
     /// interleaving, so nearly every step dirties a link pair and forces a
-    /// scoped refill whose result must still match the from-scratch
-    /// oracle. This pins the dirty-link bookkeeping (mask reset, union-find
-    /// scoping, full-fill fallback) under sustained capacity movement.
+    /// replayed refill whose result must still match the from-scratch
+    /// oracle. This pins the dirty-link bookkeeping (mask reset, divergence
+    /// scan, suffix rewind) under sustained capacity movement.
     #[test]
     fn flowsim_matches_oracle_under_capacity_churn(
         (up, down) in caps_strategy(),
@@ -451,4 +451,114 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Bursts before one refill: a persistent [`Waterfiller`] takes several
+    /// pair mutations and a capacity change (zeroing a site, or restoring
+    /// it) per refill, with whole groups dying and reviving and the
+    /// occasional `mark_all_dirty`. Every refill must leave every live
+    /// group's rate bit-identical to a from-scratch [`waterfill_groups`].
+    #[test]
+    fn replayed_refill_matches_full_fill_under_bursts(
+        (up, down) in caps_strategy(),
+        bursts in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..49, 0u8..4, 1usize..4), 1..6),
+                0u8..6,
+                0usize..7,
+                1u32..80,
+            ),
+            1..40,
+        ),
+    ) {
+        use tetrium::net::Waterfiller;
+        let n = up.len();
+        let (mut up, mut down) = (up, down);
+        let saved = (up.clone(), down.clone());
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        let mut counts = vec![0usize; pairs.len()];
+        let mut rates = vec![0.0f64; pairs.len()];
+        let mut wf = Waterfiller::new(n);
+        for (step, (muts, cap_op, site, cap)) in bursts.into_iter().enumerate() {
+            for (pick, op, delta) in muts {
+                let g = pick % pairs.len();
+                match op {
+                    0 => counts[g] = 0,
+                    1 => counts[g] = counts[g].saturating_sub(1),
+                    _ => counts[g] += delta,
+                }
+                wf.mark_pair_dirty(pairs[g].0, pairs[g].1);
+            }
+            let s = site % n;
+            match cap_op {
+                0 => {
+                    up[s] = 0.0;
+                    down[s] = 0.0;
+                    wf.mark_pair_dirty(s, s);
+                }
+                1 => {
+                    up[s] = saved.0[s];
+                    down[s] = saved.1[s];
+                    wf.mark_pair_dirty(s, s);
+                }
+                2 => {
+                    up[s] = cap as f64 * 0.05;
+                    wf.mark_pair_dirty(s, s);
+                }
+                3 if step % 5 == 4 => wf.mark_all_dirty(),
+                _ => {}
+            }
+            let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
+            wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
+            for &(g, r) in wf.refilled() {
+                rates[g] = r;
+            }
+            let specs: Vec<GroupSpec> = pairs
+                .iter()
+                .zip(&counts)
+                .map(|(&(src, dst), &count)| GroupSpec { src, dst, count })
+                .collect();
+            let want = waterfill_groups(&specs, &up, &down);
+            for &g in &live {
+                prop_assert!(
+                    rates[g].to_bits() == want[g].to_bits(),
+                    "step {}: group {} replayed {} != full {}",
+                    step, g, rates[g], want[g]
+                );
+            }
+        }
+    }
+}
+
+/// A new flow on a link that saturates late in the fill must refreeze only
+/// the groups from that link's step on, not every live group: the replay
+/// must not silently fall back to full fills.
+#[test]
+fn late_saturating_mutation_refreezes_fewer_groups_than_live() {
+    use tetrium::net::FlowSim;
+    // Four flows into site 4's wide downlink, each bottlenecked on its own
+    // uplink: the fill saturates uplinks 0, 1, 2, 3 in that order.
+    let mut sim = FlowSim::new(vec![1.0, 2.0, 3.0, 4.0, 9.0], vec![100.0; 5]);
+    for s in 0..4 {
+        sim.add_flow(SiteId(s), SiteId(4), 1e3);
+    }
+    // The fastest flow, 3->4 at 4 GB/s, finishes first.
+    let (_, t) = sim.next_completion().unwrap();
+    assert!((t - 250.0).abs() < 1e-9);
+    let before = sim.waterfill_stats();
+    // A second flow on 3->4 halves that group's level to 2: uplink 3 now
+    // sorts after uplink 1 (a tie on the level, broken by link index) and
+    // before uplink 2, so steps 0 and 1 recur.
+    let k = sim.add_flow(SiteId(3), SiteId(4), 1e3);
+    assert_eq!(sim.rate_gbps(k), 2.0);
+    let after = sim.waterfill_stats();
+    assert_eq!(after.refills, before.refills + 1);
+    assert_eq!(after.steps_reused - before.steps_reused, 2);
+    let refrozen = after.groups_refrozen - before.groups_refrozen;
+    assert_eq!(refrozen, 2, "only groups 2->4 and 3->4 refreeze, of 4 live");
 }

@@ -3,6 +3,28 @@
 use tetrium::cluster::{CapacityDrop, Cluster, DataDistribution, Site, SiteId};
 use tetrium::jobs::{Job, JobId, Stage, StageKind};
 
+/// JSON strings parse in linear time. A parser that re-validates the rest
+/// of the input for every character is quadratic and takes minutes on this
+/// 4 MB document; the linear one takes milliseconds even in a debug build.
+#[test]
+fn long_json_strings_parse_in_linear_time() {
+    let body = "ab\u{e9}\u{1F600}xyz".repeat(200_000);
+    let text = format!("[\"{body}\", \"a\\\"b\\u00e9\\\\{body}\"]");
+    assert!(text.len() > 4_000_000);
+    // lint:allow(L3) -- the test measures the parser's wall time
+    let started = std::time::Instant::now();
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let took = started.elapsed();
+    assert_eq!(v[0].as_str(), Some(body.as_str()));
+    let escaped = format!("a\"b\u{e9}\\{body}");
+    assert_eq!(v[1].as_str(), Some(escaped.as_str()));
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "parsing {} bytes took {took:?}",
+        text.len()
+    );
+}
+
 #[test]
 fn cluster_serde_round_trip() {
     let c = tetrium::cluster::ec2_eight_regions();
