@@ -281,7 +281,7 @@ fn sched_latency_medians() -> (f64, f64) {
             .iter()
             .zip(&obs.planner)
             .inspect(|(s, p)| assert_eq!(s.at, p.at, "records misaligned"))
-            .filter(|(_, p)| p.tmpl_exact + p.tmpl_patched + p.tmpl_warm + p.tmpl_miss > 0)
+            .filter(|(_, p)| p.tmpl_exact + p.tmpl_patched + p.tmpl_miss > 0)
             .map(|(s, _)| s.wall_secs)
             .collect();
         assert!(!w.is_empty(), "no planning instances recorded");

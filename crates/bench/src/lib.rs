@@ -175,20 +175,20 @@ pub fn map_like_lp(n: usize) -> tetrium_lp::Problem {
         terms.push((t_aggr, -up[x]));
         lp.add_constraint(&terms, Relation::Le, 0.0);
     }
-    for x in 0..n.min(12) {
+    for (x, &down_x) in down.iter().enumerate().take(12) {
         let mut terms: Vec<(usize, f64)> = (0..n)
             .filter(|&y| y != x)
             .map(|y| (var(y, x), input_gb[y]))
             .collect();
-        terms.push((t_aggr, -down[x]));
+        terms.push((t_aggr, -down_x));
         lp.add_constraint(&terms, Relation::Le, 0.0);
     }
-    for y in 0..n {
+    for (y, &slots_y) in slots.iter().enumerate() {
         let mut terms: Vec<(usize, f64)> = (0..n)
             .filter(|&x| x == y || dest_ok(y))
             .map(|x| (var(x, y), 2.0 * tasks_from[x]))
             .collect();
-        terms.push((t_map, -slots[y]));
+        terms.push((t_map, -slots_y));
         lp.add_constraint(&terms, Relation::Le, 0.0);
     }
     lp

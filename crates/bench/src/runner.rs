@@ -121,29 +121,40 @@ pub fn run_cells_with<T: Send>(threads: usize, cells: Vec<(Cell, CellFn<'_, T>)>
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    let joined = crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let f = work[i]
-                    .lock()
-                    .expect("cell mutex poisoned")
-                    .take()
-                    .expect("cell claimed twice");
-                let out = f();
-                if trace_cells() {
-                    eprintln!("[runner] done {}", descs[i]);
-                }
-                *slots[i].lock().expect("slot mutex poisoned") = Some(out);
-            });
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let f = work[i]
+                        .lock()
+                        .expect("cell mutex poisoned")
+                        .take()
+                        .expect("cell claimed twice");
+                    let out = f();
+                    if trace_cells() {
+                        eprintln!("[runner] done {}", descs[i]);
+                    }
+                    *slots[i].lock().expect("slot mutex poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Join every worker, then re-raise the first cell panic with its
+        // original payload (an unjoined panicking worker would only surface
+        // as the scope's generic panic message).
+        let mut first_panic = None;
+        for w in workers {
+            if let Err(payload) = w.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
-    if let Err(payload) = joined {
-        std::panic::resume_unwind(payload);
-    }
 
     slots
         .into_iter()
@@ -204,6 +215,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_cells_with(2, cells);
         }));
-        assert!(r.is_err());
+        let payload = r.expect_err("a cell panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell failed"));
     }
 }

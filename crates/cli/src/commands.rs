@@ -429,13 +429,16 @@ fn serve(args: &Args) -> Result<(), String> {
     // Task events only flow to subscribers (and thus to the span tap)
     // when the shard engines record obs.
     engine_cfg.record_obs = otel_path.is_some();
+    let n_jobs = scenario.jobs.len();
     let cfg = tetrium_serve::ServeConfig {
         shards,
         scheduler: kind,
         engine: engine_cfg,
+        // The service stays held until every job is submitted, so a shard
+        // queue must hold the whole scenario or `submit` blocks forever.
+        queue_depth: n_jobs,
         ..tetrium_serve::ServeConfig::default()
     };
-    let n_jobs = scenario.jobs.len();
     let rt = tokio::runtime::Builder::new_multi_thread()
         .enable_all()
         .build()
@@ -693,6 +696,34 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("mutually exclusive"), "err: {err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A held service only drains its shard queues once opened, after the
+    /// last submit; more jobs than the default queue depth (64) on one
+    /// shard must still go through.
+    #[test]
+    fn serve_submits_more_jobs_than_the_default_queue_depth() {
+        let dir = std::env::temp_dir().join("tetrium_cli_serve_deep_queue_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("scenario.json");
+        dispatch(&svp(
+            &[
+                "generate", "--kind", "bigdata", "--sites", "ec2-8", "--jobs", "70", "--seed", "5",
+                "--scale", "0.2", "--out",
+            ],
+            &[&path],
+        ))
+        .unwrap();
+        let json_out = dir.join("serve.json");
+        dispatch(&svp(
+            &["serve", "--shards", "1", "--scenario"],
+            &[&path, Path::new("--json"), &json_out],
+        ))
+        .unwrap();
+        let v: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&json_out).unwrap()).unwrap();
+        assert_eq!(v["total_jobs"], 70);
         let _ = std::fs::remove_dir_all(dir);
     }
 

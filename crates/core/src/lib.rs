@@ -17,9 +17,9 @@
 //!   best-of-forward/reverse selector;
 //! - [`dynamics`]: the `k`-site limited re-assignment heuristic reacting to
 //!   capacity drops (§4.2);
-//! - [`plan_cache`]: template-keyed placement caching and LP warm-starting
-//!   across scheduling instances, exploiting the recurring nature of the
-//!   target workloads (§2);
+//! - [`plan_cache`]: template-keyed placement caching across scheduling
+//!   instances (exact replays and rescaled near-hits), exploiting the
+//!   recurring nature of the target workloads (§2);
 //! - [`scheduler`]: [`TetriumScheduler`], the SRPT-based multi-job scheduler
 //!   (§4.1) with the fairness knob `ε` (§4.4), packaged as a
 //!   [`tetrium_sim::Scheduler`];
@@ -47,12 +47,10 @@ pub mod wan;
 
 pub use analytic::{evaluate_map_counts, evaluate_reduce_counts, StageTimes};
 pub use estimate::{estimate_job, JobEstimate};
-pub use map_placement::{solve_map_placement, solve_map_placement_warm, MapPlacement, MapProblem};
+pub use map_placement::{solve_map_placement, MapPlacement, MapProblem};
 pub use ordering::{MapOrdering, ReduceOrdering};
 pub use plan_cache::{CacheStats, PlanCacheMode, TemplateCache};
-pub use reduce_placement::{
-    solve_reduce_placement, solve_reduce_placement_warm, ReducePlacement, ReduceProblem,
-};
+pub use reduce_placement::{solve_reduce_placement, ReducePlacement, ReduceProblem};
 pub use replicas::{replicated_input, select_replicas, ReplicatedPartition};
 pub use scheduler::{JobPolicy, PlacementPolicy, StagePlanning, TetriumConfig, TetriumScheduler};
 pub use wan::{wan_budget, WanKnob};

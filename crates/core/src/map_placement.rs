@@ -11,9 +11,8 @@
 //! engine's partitions are not perfectly proportional to data volumes.
 
 use crate::analytic::StageTimes;
-use crate::plan_cache::SolveMeta;
 use tetrium_jobs::largest_remainder_round;
-use tetrium_lp::{Basis, LpError, Problem, Relation};
+use tetrium_lp::{LpError, Problem, Relation};
 
 /// Inputs of one map-stage placement decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,55 +81,6 @@ pub struct MapPlacement {
 /// Propagates LP failures (e.g. an infeasibly tight WAN budget combined
 /// with `forced_dest_gb`; the plain model is always feasible).
 pub fn solve_map_placement(p: &MapProblem) -> Result<MapPlacement, LpError> {
-    solve_map_placement_warm(p, None).map(|(placement, _)| placement)
-}
-
-/// Like [`solve_map_placement`], but optionally warm-starts the LP from a
-/// cached optimal [`Basis`] and reports solver metadata (the new optimal
-/// basis, whether the warm start took, pivot count) for the plan cache.
-///
-/// A placement produced with `warm = Some(..)` is bit-identical to the cold
-/// one whenever both solves end at the same optimal basis — the solver
-/// re-derives values and duals canonically from the basis — and is always
-/// an LP optimum regardless.
-///
-/// # Panics
-///
-/// Panics if vector lengths disagree.
-///
-/// # Errors
-///
-/// Propagates LP failures, exactly as [`solve_map_placement`].
-pub fn solve_map_placement_warm(
-    p: &MapProblem,
-    warm: Option<&Basis>,
-) -> Result<(MapPlacement, SolveMeta), LpError> {
-    solve_map_impl(p, warm, warm.is_some())
-}
-
-/// Cold solve with canonical LP extraction — the bit-for-bit reference the
-/// audit oracle compares a warm-started [`solve_map_placement_warm`]
-/// against. A plain cold solve reports the tableau's own floating-point
-/// representation of the optimum; this one re-derives it from the optimal
-/// vertex exactly like the warm path does, so the two agree bitwise
-/// whenever they reach the same vertex.
-///
-/// # Panics
-///
-/// Panics if vector lengths disagree.
-///
-/// # Errors
-///
-/// Propagates LP failures, exactly as [`solve_map_placement`].
-pub fn solve_map_placement_canonical(p: &MapProblem) -> Result<(MapPlacement, SolveMeta), LpError> {
-    solve_map_impl(p, None, true)
-}
-
-fn solve_map_impl(
-    p: &MapProblem,
-    warm: Option<&Basis>,
-    canonical: bool,
-) -> Result<(MapPlacement, SolveMeta), LpError> {
     let n = p.input_gb.len();
     assert_eq!(p.tasks_from.len(), n);
     assert_eq!(p.up_gbps.len(), n);
@@ -140,23 +90,20 @@ fn solve_map_impl(
     let total_gb: f64 = p.input_gb.iter().sum();
 
     if num_tasks == 0 {
-        return Ok((
-            MapPlacement {
-                fractions: vec![vec![0.0; n]; n],
-                times: StageTimes {
-                    transfer: 0.0,
-                    compute: 0.0,
-                },
-                counts: vec![vec![0; n]; n],
-                tasks_at: vec![0; n],
-                slot_demand: vec![0; n],
-                wan_gb: 0.0,
+        return Ok(MapPlacement {
+            fractions: vec![vec![0.0; n]; n],
+            times: StageTimes {
+                transfer: 0.0,
+                compute: 0.0,
             },
-            SolveMeta::default(),
-        ));
+            counts: vec![vec![0; n]; n],
+            tasks_at: vec![0; n],
+            slot_demand: vec![0; n],
+            wan_gb: 0.0,
+        });
     }
     if total_gb <= 1e-12 {
-        return Ok((slot_proportional(p, n, num_tasks), SolveMeta::default()));
+        return Ok(slot_proportional(p, n, num_tasks));
     }
 
     // Candidate destinations: all sites when unrestricted, otherwise each
@@ -304,8 +251,7 @@ fn solve_map_impl(
     // A source with no data and no tasks has zero coefficients in every
     // time constraint: its split across destinations is a flat optimal
     // face, and which vertex the solver reports would be an arbitrary
-    // pivot-path artifact — a warm-started and a cold solve could then
-    // legitimately disagree. Pin such sources in place (a[x][x] = 1, via
+    // pivot-path artifact. Pin such sources in place (a[x][x] = 1, via
     // a[x][y] <= 0 bounds plus the row sum) so the optimum stays unique;
     // semantically nothing moves. The pins are native box constraints —
     // the revised simplex holds a ub = 0 column at its bound instead of
@@ -319,23 +265,16 @@ fn solve_map_impl(
         }
     }
 
-    let sol = match (warm, canonical) {
-        (Some(b), _) => lp.solve_from_basis(b)?,
-        (None, true) => lp.solve_canonical()?,
-        (None, false) => lp.solve()?,
-    };
+    let sol = lp.solve()?;
     let mut fractions = vec![vec![0.0; n]; n];
     for &(x, y) in &pairs {
         fractions[x][y] = sol.values[var(x, y)].max(0.0);
     }
-    let meta = SolveMeta {
-        warm_started: sol.warm_started,
-        pivots: sol.pivots,
-        basis: Some(sol.basis),
-    };
-    Ok((
-        assemble_map(p, fractions, sol.values[t_aggr], sol.values[t_map]),
-        meta,
+    Ok(assemble_map(
+        p,
+        fractions,
+        sol.values[t_aggr],
+        sol.values[t_map],
     ))
 }
 

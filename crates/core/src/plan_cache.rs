@@ -1,14 +1,13 @@
-//! Template-keyed plan caching and LP warm-starting (the recurring-query
-//! fast path; see DESIGN.md §11).
+//! Template-keyed plan caching (the recurring-query fast path; see
+//! DESIGN.md §11).
 //!
 //! Recurring analytics — the dominant workload the paper targets (§2:
 //! "analytics queries are often recurring") — present the scheduler with a
 //! stream of placement problems that are *structurally identical* and
 //! *numerically similar* across instances: the same DAG shape over the same
-//! sites, with data volumes that drift with the diurnal cycle. Re-running
-//! two-phase simplex from scratch on every instance wastes almost all of
-//! that similarity. This module keys solved placements by a two-level
-//! fingerprint and reuses them at three escalating costs:
+//! sites, with data volumes that drift with the diurnal cycle. This module
+//! keys solved placements by a two-level fingerprint and reuses them at two
+//! tiers:
 //!
 //! 1. **Exact hit** — the cached problem compares equal field-for-field to
 //!    the current one; the cached placement is returned verbatim. This tier
@@ -19,12 +18,10 @@
 //!    the current task counts ([`tetrium_jobs::largest_remainder_round`])
 //!    and volumes/times are rescaled. A patch whose WAN bytes would exceed
 //!    the current budget is rejected (it would overspend `ρ`) and the
-//!    lookup falls through to the warm tier.
-//! 3. **Warm start** — same template only: the most recently used entry's
-//!    optimal [`Basis`] seeds [`tetrium_lp::Problem::solve_from_basis`],
-//!    which skips simplex phase 1 entirely when the stored basis is still
-//!    feasible. The solver itself guarantees optimality (it re-prices and
-//!    re-optimizes), so this tier changes latency, never answers.
+//!    lookup misses.
+//!
+//! Everything else is a miss: the scheduler solves the LP and inserts the
+//! result.
 //!
 //! The two-level key separates *structure* from *numbers*:
 //! [`TemplateSig`] captures what makes two LPs share a constraint skeleton
@@ -39,7 +36,6 @@ use crate::map_placement::{assemble_map, MapPlacement, MapProblem};
 use crate::reduce_placement::{ReducePlacement, ReduceProblem};
 use std::collections::BTreeMap;
 use tetrium_jobs::largest_remainder_round;
-use tetrium_lp::Basis;
 
 /// How the scheduler uses the template cache (`--plan-cache`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,7 +47,7 @@ pub enum PlanCacheMode {
     /// to [`PlanCacheMode::Off`] bit for bit, so figure output must not
     /// change (CI asserts this).
     Exact,
-    /// Exact hits, patched near-hits and LP warm starts.
+    /// Exact hits and patched near-hits.
     Full,
 }
 
@@ -62,11 +58,12 @@ pub struct CacheStats {
     pub exact: usize,
     /// Solves short-circuited by rescaling a same-bucket placement.
     pub patched: usize,
-    /// Solves warm-started from a cached optimal basis.
+    /// Always 0: the cache has no warm-start tier. Kept so planner records
+    /// and their consumers keep a stable shape.
     pub warm: usize,
-    /// Cold solves (no usable entry, or the warm attempt fell back).
+    /// LP solves (no usable entry).
     pub miss: usize,
-    /// Total simplex pivots spent across the warm-started solves.
+    /// Always 0, like [`CacheStats::warm`].
     pub warm_pivots: usize,
 }
 
@@ -78,8 +75,7 @@ impl CacheStats {
 }
 
 /// Structural fingerprint: two placement problems with equal template
-/// signatures build LPs over the same constraint skeleton, so an optimal
-/// basis for one is a plausible starting basis for the other.
+/// signatures build LPs over the same constraint skeleton.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TemplateSig {
     /// 0 = map, 1 = reduce.
@@ -220,30 +216,14 @@ pub fn reduce_sigs(stage_index: usize, p: &ReduceProblem) -> (TemplateSig, Bucke
     (tsig, bsig)
 }
 
-/// Solver metadata returned alongside a placement by the warm-capable
-/// solve functions.
-#[derive(Debug, Clone, Default)]
-pub struct SolveMeta {
-    /// Optimal basis for seeding a future warm start (`None` when the
-    /// solve took a non-LP shortcut path).
-    pub basis: Option<Basis>,
-    /// Whether the solve actually ran from the supplied basis (a failed
-    /// warm attempt silently falls back to a cold solve).
-    pub warm_started: bool,
-    /// Simplex pivots spent.
-    pub pivots: usize,
-}
-
 enum Stored {
     Map {
         problem: MapProblem,
         placement: MapPlacement,
-        basis: Basis,
     },
     Reduce {
         problem: ReduceProblem,
         placement: ReducePlacement,
-        basis: Basis,
     },
 }
 
@@ -258,9 +238,7 @@ pub enum MapLookup {
     Exact(MapPlacement),
     /// Same bucket; cached split re-rounded and rescaled.
     Patched(MapPlacement),
-    /// Same template; warm-start the LP from this basis.
-    Warm(Basis),
-    /// Nothing usable; solve cold.
+    /// Nothing usable; solve the LP.
     Miss,
 }
 
@@ -270,9 +248,7 @@ pub enum ReduceLookup {
     Exact(ReducePlacement),
     /// Same bucket; cached split re-rounded and rescaled.
     Patched(ReducePlacement),
-    /// Same template; warm-start the LP from this basis.
-    Warm(Basis),
-    /// Nothing usable; solve cold.
+    /// Nothing usable; solve the LP.
     Miss,
 }
 
@@ -323,14 +299,13 @@ impl TemplateCache {
 
     /// Drops every entry (cluster dynamics invalidate all templates: the
     /// slot and bandwidth quantizations baked into every bucket no longer
-    /// describe the cluster, and a stale basis would only waste a failed
-    /// warm attempt).
+    /// describe the cluster).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.len = 0;
     }
 
-    /// Three-tier lookup for a map-stage problem.
+    /// Exact-then-patched lookup for a map-stage problem.
     pub fn lookup_map(
         &mut self,
         tsig: &TemplateSig,
@@ -341,45 +316,28 @@ impl TemplateCache {
             return MapLookup::Miss;
         }
         self.tick += 1;
-        let Some(buckets) = self.entries.get_mut(tsig) else {
+        let Some(e) = self.entries.get_mut(tsig).and_then(|b| b.get_mut(bsig)) else {
             return MapLookup::Miss;
         };
-        if let Some(e) = buckets.get_mut(bsig) {
-            if let Stored::Map {
-                problem, placement, ..
-            } = &e.stored
-            {
-                if problem == p {
-                    e.last_used = self.tick;
-                    self.stats.exact += 1;
-                    return MapLookup::Exact(placement.clone());
-                }
-                if self.mode == PlanCacheMode::Full {
-                    if let Some(patched) = patch_map(problem, placement, p) {
-                        e.last_used = self.tick;
-                        self.stats.patched += 1;
-                        return MapLookup::Patched(patched);
-                    }
-                }
-            }
+        let Stored::Map { problem, placement } = &e.stored else {
+            return MapLookup::Miss;
+        };
+        if problem == p {
+            e.last_used = self.tick;
+            self.stats.exact += 1;
+            return MapLookup::Exact(placement.clone());
         }
         if self.mode == PlanCacheMode::Full {
-            // Warm hint: the most recently used same-template entry.
-            if let Some(basis) = buckets
-                .values()
-                .filter(|e| matches!(e.stored, Stored::Map { .. }))
-                .max_by_key(|e| e.last_used)
-                .map(|e| match &e.stored {
-                    Stored::Map { basis, .. } | Stored::Reduce { basis, .. } => basis.clone(),
-                })
-            {
-                return MapLookup::Warm(basis);
+            if let Some(patched) = patch_map(problem, placement, p) {
+                e.last_used = self.tick;
+                self.stats.patched += 1;
+                return MapLookup::Patched(patched);
             }
         }
         MapLookup::Miss
     }
 
-    /// Three-tier lookup for a reduce-stage problem.
+    /// Exact-then-patched lookup for a reduce-stage problem.
     pub fn lookup_reduce(
         &mut self,
         tsig: &TemplateSig,
@@ -390,38 +348,22 @@ impl TemplateCache {
             return ReduceLookup::Miss;
         }
         self.tick += 1;
-        let Some(buckets) = self.entries.get_mut(tsig) else {
+        let Some(e) = self.entries.get_mut(tsig).and_then(|b| b.get_mut(bsig)) else {
             return ReduceLookup::Miss;
         };
-        if let Some(e) = buckets.get_mut(bsig) {
-            if let Stored::Reduce {
-                problem, placement, ..
-            } = &e.stored
-            {
-                if problem == p {
-                    e.last_used = self.tick;
-                    self.stats.exact += 1;
-                    return ReduceLookup::Exact(placement.clone());
-                }
-                if self.mode == PlanCacheMode::Full {
-                    if let Some(patched) = patch_reduce(problem, placement, p) {
-                        e.last_used = self.tick;
-                        self.stats.patched += 1;
-                        return ReduceLookup::Patched(patched);
-                    }
-                }
-            }
+        let Stored::Reduce { problem, placement } = &e.stored else {
+            return ReduceLookup::Miss;
+        };
+        if problem == p {
+            e.last_used = self.tick;
+            self.stats.exact += 1;
+            return ReduceLookup::Exact(placement.clone());
         }
         if self.mode == PlanCacheMode::Full {
-            if let Some(basis) = buckets
-                .values()
-                .filter(|e| matches!(e.stored, Stored::Reduce { .. }))
-                .max_by_key(|e| e.last_used)
-                .map(|e| match &e.stored {
-                    Stored::Map { basis, .. } | Stored::Reduce { basis, .. } => basis.clone(),
-                })
-            {
-                return ReduceLookup::Warm(basis);
+            if let Some(patched) = patch_reduce(problem, placement, p) {
+                e.last_used = self.tick;
+                self.stats.patched += 1;
+                return ReduceLookup::Patched(patched);
             }
         }
         ReduceLookup::Miss
@@ -434,17 +376,8 @@ impl TemplateCache {
         bsig: BucketSig,
         problem: MapProblem,
         placement: MapPlacement,
-        basis: Basis,
     ) {
-        self.insert(
-            tsig,
-            bsig,
-            Stored::Map {
-                problem,
-                placement,
-                basis,
-            },
-        );
+        self.insert(tsig, bsig, Stored::Map { problem, placement });
     }
 
     /// Records a solved reduce placement under its fingerprint.
@@ -454,17 +387,8 @@ impl TemplateCache {
         bsig: BucketSig,
         problem: ReduceProblem,
         placement: ReducePlacement,
-        basis: Basis,
     ) {
-        self.insert(
-            tsig,
-            bsig,
-            Stored::Reduce {
-                problem,
-                placement,
-                basis,
-            },
-        );
+        self.insert(tsig, bsig, Stored::Reduce { problem, placement });
     }
 
     fn insert(&mut self, tsig: TemplateSig, bsig: BucketSig, stored: Stored) {
@@ -590,12 +514,8 @@ fn patch_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_placement::{
-        solve_map_placement_canonical, solve_map_placement_warm, MapProblem,
-    };
-    use crate::reduce_placement::{
-        solve_reduce_placement_canonical, solve_reduce_placement_warm, ReduceProblem,
-    };
+    use crate::map_placement::{solve_map_placement, MapProblem};
+    use crate::reduce_placement::{solve_reduce_placement, ReduceProblem};
 
     fn map_p(input: [f64; 3]) -> MapProblem {
         MapProblem {
@@ -628,8 +548,8 @@ mod tests {
 
     fn solve_and_insert_map(cache: &mut TemplateCache, p: &MapProblem) -> MapPlacement {
         let (tsig, bsig) = map_sigs(0, p);
-        let (pl, meta) = solve_map_placement_warm(p, None).unwrap();
-        cache.insert_map(tsig, bsig, p.clone(), pl.clone(), meta.basis.unwrap());
+        let pl = solve_map_placement(p).unwrap();
+        cache.insert_map(tsig, bsig, p.clone(), pl.clone());
         pl
     }
 
@@ -647,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_never_patches_or_warms() {
+    fn exact_mode_never_patches() {
         let mut cache = TemplateCache::new(PlanCacheMode::Exact);
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
@@ -681,7 +601,7 @@ mod tests {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         // Cache under a generous budget, then shrink it so the cached
         // split's WAN bytes no longer fit; the patch tier must refuse and
-        // degrade to a warm hint.
+        // the lookup miss.
         let mut p = map_p([20.0, 30.0, 50.0]);
         p.wan_budget_gb = Some(100.0);
         let pl = solve_and_insert_map(&mut cache, &p);
@@ -711,43 +631,41 @@ mod tests {
     }
 
     #[test]
-    fn large_drift_falls_to_warm_tier_and_warm_solve_matches_cold() {
+    fn far_drift_misses() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
-        // Octave-level drift: different bucket, same template.
+        // Octave-level drift: different bucket, same template. Nothing
+        // short of a fresh solve is sound here.
         let far = map_p([50.0, 80.0, 120.0]);
         let (tsig, bsig) = map_sigs(0, &far);
-        let MapLookup::Warm(basis) = cache.lookup_map(&tsig, &bsig, &far) else {
-            panic!("expected warm hint");
-        };
-        let (warm, meta) = solve_map_placement_warm(&far, Some(&basis)).unwrap();
-        let (cold, _) = solve_map_placement_canonical(&far).unwrap();
-        assert!(meta.warm_started);
-        assert_eq!(warm, cold, "warm-started solve must be bit-exact");
+        assert!(matches!(
+            cache.lookup_map(&tsig, &bsig, &far),
+            MapLookup::Miss
+        ));
+        let stats = cache.stats.take();
+        assert_eq!(stats.exact + stats.patched + stats.warm, 0, "{stats:?}");
     }
 
     #[test]
-    fn reduce_exact_and_warm_tiers() {
+    fn reduce_exact_hit_and_far_drift_misses() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let p = reduce_p([10.0, 15.0, 25.0]);
         let (tsig, bsig) = reduce_sigs(1, &p);
-        let (pl, meta) = solve_reduce_placement_warm(&p, None).unwrap();
-        cache.insert_reduce(tsig, bsig, p.clone(), pl.clone(), meta.basis.unwrap());
-        let (tsig, bsig) = reduce_sigs(1, &p);
+        let pl = solve_reduce_placement(&p).unwrap();
+        cache.insert_reduce(tsig.clone(), bsig.clone(), p.clone(), pl.clone());
         assert!(matches!(
             cache.lookup_reduce(&tsig, &bsig, &p),
             ReduceLookup::Exact(hit) if hit == pl
         ));
         let far = reduce_p([30.0, 40.0, 70.0]);
         let (tsig, bsig) = reduce_sigs(1, &far);
-        let ReduceLookup::Warm(basis) = cache.lookup_reduce(&tsig, &bsig, &far) else {
-            panic!("expected warm hint");
-        };
-        let (warm, meta) = solve_reduce_placement_warm(&far, Some(&basis)).unwrap();
-        let (cold, _) = solve_reduce_placement_canonical(&far).unwrap();
-        assert!(meta.warm_started);
-        assert_eq!(warm, cold);
+        assert!(matches!(
+            cache.lookup_reduce(&tsig, &bsig, &far),
+            ReduceLookup::Miss
+        ));
+        let stats = cache.stats.take();
+        assert_eq!((stats.exact, stats.patched, stats.warm), (1, 0, 0));
     }
 
     #[test]
@@ -766,12 +684,11 @@ mod tests {
     fn capacity_is_bounded_and_eviction_is_lru() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let base = map_p([20.0, 30.0, 50.0]);
-        let (pl, meta) = solve_map_placement_warm(&base, None).unwrap();
-        let basis = meta.basis.unwrap();
+        let pl = solve_map_placement(&base).unwrap();
         for i in 0..(CAP + 40) {
             // Distinct templates via the stage index.
             let (tsig, bsig) = map_sigs(i, &base);
-            cache.insert_map(tsig, bsig, base.clone(), pl.clone(), basis.clone());
+            cache.insert_map(tsig, bsig, base.clone(), pl.clone());
             assert!(cache.len() <= CAP);
         }
         assert_eq!(cache.len(), CAP);

@@ -191,7 +191,7 @@ fn token_rules(path: &str, lexed: &Lexed, out: &mut Vec<rules::RawFinding>) {
 /// propagated through the workspace call graph. Findings come back
 /// sorted by (path, line, col, rule).
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let parsed: Vec<SourceFile> = files
+    let mut parsed: Vec<SourceFile> = files
         .iter()
         .map(|(path, src)| {
             let lexed = lexer::lex(src);
@@ -203,6 +203,7 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
             }
         })
         .collect();
+    mark_out_of_line_test_modules(&mut parsed);
     let mut per_file: Vec<Vec<rules::RawFinding>> = parsed.iter().map(|_| Vec::new()).collect();
     for (fi, f) in parsed.iter().enumerate() {
         token_rules(&f.path, &f.lexed, &mut per_file[fi]);
@@ -223,6 +224,31 @@ pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
     out
+}
+
+/// Marks the files of out-of-line test modules as test code:
+/// `#[cfg(test)] mod tests;` in `src/lib.rs` declares `src/tests.rs` or
+/// `src/tests/mod.rs`. Declarations inside such a file and `#[path]`
+/// attributes are not followed.
+fn mark_out_of_line_test_modules(parsed: &mut [SourceFile]) {
+    let mut test_files = std::collections::BTreeSet::new();
+    for f in parsed.iter() {
+        // `lib.rs`/`main.rs`/`mod.rs` declare children beside themselves;
+        // `foo.rs` declares them under `foo/`.
+        let (dir, file) = f.path.rsplit_once('/').unwrap_or(("", &f.path));
+        let base = match file.strip_suffix(".rs") {
+            Some("lib" | "main" | "mod") | None => dir.to_string(),
+            Some(stem) => format!("{dir}/{stem}"),
+        };
+        for name in &f.syntax.test_mod_decls {
+            for child in [format!("{base}/{name}.rs"), format!("{base}/{name}/mod.rs")] {
+                test_files.insert(child.trim_start_matches('/').to_string());
+            }
+        }
+    }
+    for f in parsed.iter_mut().filter(|f| test_files.contains(&f.path)) {
+        f.syntax.mark_all_test();
+    }
 }
 
 /// Drops findings suppressed by `lint:allow` markers. Markers for rules

@@ -1,0 +1,3 @@
+pub fn head(v: &[f64]) -> f64 {
+    v.first().copied().unwrap()
+}

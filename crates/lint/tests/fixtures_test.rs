@@ -170,6 +170,17 @@ fn l8_fixture_flags_await_under_guard_and_the_inverted_order_site() {
 }
 
 #[test]
+fn out_of_line_test_modules_are_test_code() {
+    let all = fixture_findings();
+    let f = for_file(&all, "obs/src/helper.rs");
+    assert_eq!(f.len(), 1, "the production module is still linted: {f:?}");
+    assert_eq!(f[0].rule, Rule::L6);
+    assert_eq!((f[0].line, f[0].col), (2, 6), "span of the `[`");
+    let f = for_file(&all, "obs/src/checks.rs");
+    assert!(f.is_empty(), "the test module's file is test code: {f:?}");
+}
+
+#[test]
 fn good_fixture_with_allowlist_escapes_is_clean() {
     let all = fixture_findings();
     let f = for_file(&all, "good_allowed.rs");

@@ -20,9 +20,9 @@
 //! - infeasibility and unboundedness detection,
 //! - Bland's anti-cycling rule (engaged after a Dantzig warm-up) so
 //!   degenerate placement instances cannot loop forever,
-//! - basis export and warm-started re-solves ([`Problem::solve_from_basis`])
-//!   with canonical extraction, so a warm solve of drifted data returns
-//!   bit-identical answers to a cold solve reaching the same vertex.
+//! - canonical extraction: values are re-derived from the optimal vertex,
+//!   so the reported bits are a function of the problem, not of the pivot
+//!   path (which is what lets the dense oracle agree bit for bit).
 //!
 //! # Examples
 //!
@@ -47,7 +47,7 @@ mod sparsela;
 mod types;
 
 pub use problem::{Constraint, Problem, Relation, Sense};
-pub use types::{Basis, LpError, Solution};
+pub use types::{LpError, Solution};
 
 #[cfg(test)]
 mod tests;

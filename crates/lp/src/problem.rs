@@ -2,7 +2,7 @@
 
 use crate::revised::solve_sparse;
 use crate::simplex::solve_dense;
-use crate::types::{Basis, LpError, Solution};
+use crate::types::{LpError, Solution};
 
 /// Direction of the objective function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,34 +158,17 @@ impl Problem {
     /// constraints and [`LpError::Unbounded`] when the objective can improve
     /// without limit.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_inner(None)
-    }
-
-    /// Like [`Problem::solve`], but warm-starts from the optimal basis of a
-    /// previous, structurally identical solve (same variable count, relation
-    /// sequence and bound pattern; coefficients, right-hand sides and bound
-    /// values may differ).
-    ///
-    /// When the supplied basis is still primal-feasible for this problem's
-    /// data the solver skips phase 1 and re-optimizes directly from it — a
-    /// handful of pivots when the data has only drifted. Any incompatibility
-    /// (shape mismatch, singular basis, infeasible vertex) silently falls
-    /// back to a cold [`Problem::solve`], so the result is always the true
-    /// optimum; check [`Solution::warm_started`] to see which path ran.
-    pub fn solve_from_basis(&self, basis: &Basis) -> Result<Solution, LpError> {
-        self.solve_inner(Some(basis))
-    }
-
-    /// Alias of [`Problem::solve`], kept for callers from the plan-cache
-    /// era: every solve is canonical now, so the cold reference a
-    /// warm-started solve is audited against bit for bit *is* the plain
-    /// solve.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Problem::solve`].
-    pub fn solve_canonical(&self) -> Result<Solution, LpError> {
-        self.solve_inner(None)
+        // Normalize to a minimization problem; flip the objective back at the
+        // end for maximization.
+        let (objective, flip) = self.min_objective();
+        let result = solve_sparse(self.num_vars, &objective, &self.constraints, &self.upper);
+        #[cfg(feature = "audit")]
+        self.audit_against_dense(&objective, &result);
+        let mut sol = result?;
+        if flip {
+            flip_sense(&mut sol);
+        }
+        Ok(sol)
     }
 
     /// Solves through the retained dense tableau oracle instead of the
@@ -221,33 +204,6 @@ impl Problem {
         (objective, flip)
     }
 
-    fn solve_inner(&self, basis: Option<&Basis>) -> Result<Solution, LpError> {
-        // Normalize to a minimization problem; flip the objective back at the
-        // end for maximization.
-        let (objective, flip) = self.min_objective();
-        let result = solve_sparse(
-            self.num_vars,
-            &objective,
-            &self.constraints,
-            &self.upper,
-            basis,
-        );
-        #[cfg(feature = "audit")]
-        self.audit_against_dense(&objective, &result);
-        let mut sol = result?;
-        if flip {
-            flip_sense(&mut sol);
-        }
-        Ok(sol)
-    }
-
-    /// Audit-mode oracle: re-solves (size-gated) instances through the dense
-    /// tableau and asserts agreement with the sparse result — bit-exact
-    /// values and objective when the bound pattern is pure `0`/`+∞` (the
-    /// only kind the schedulers emit), objective-tolerance otherwise
-    /// (finite bounds materialize as rows in the dense system, which indexes
-    /// columns differently and may canonicalize a different vertex of the
-    /// same optimum). Mirrors the plan cache's warm-vs-cold oracle.
     /// Prints the full problem to stderr so an audit mismatch in a long
     /// scheduler run can be replayed as a standalone LP instance.
     #[cfg(feature = "audit")]
@@ -261,6 +217,13 @@ impl Problem {
         }
     }
 
+    /// Audit-mode oracle: re-solves (size-gated) instances through the dense
+    /// tableau and asserts agreement with the sparse result — bit-exact
+    /// values and objective when the bound pattern is pure `0`/`+∞` (the
+    /// only kind the schedulers emit), objective-tolerance otherwise
+    /// (finite bounds materialize as rows in the dense system, which indexes
+    /// columns differently and may canonicalize a different vertex of the
+    /// same optimum).
     #[cfg(feature = "audit")]
     fn audit_against_dense(&self, objective: &[f64], sparse: &Result<Solution, LpError>) {
         // The dense tableau is O(m·n) per pivot; keep audited instances to

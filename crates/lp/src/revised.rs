@@ -23,7 +23,7 @@
 use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, ColDef, NormSystem};
 use crate::problem::Constraint;
 use crate::sparsela::SparseLu;
-use crate::types::{bounds_sig, relation_sig, Basis, LpError, Solution, EPS, FACE_EPS};
+use crate::types::{LpError, Solution, EPS, FACE_EPS};
 
 /// Pivot threshold for basis refactorizations.
 const LU_TOL: f64 = 1e-11;
@@ -87,54 +87,6 @@ impl<'a> Rev<'a> {
         };
         rev.refactor()?;
         Ok(rev)
-    }
-
-    /// Sets up directly from a stored basis + at-upper set (phase-2 start).
-    /// Returns `None` when the basis is singular or primal-infeasible for
-    /// this problem's data — the caller then falls back to a cold solve.
-    fn warm_start(sys: &'a NormSystem, upper: &[f64], warm: &Basis) -> Option<Self> {
-        let m = sys.m();
-        let mut ub = vec![f64::INFINITY; sys.total_cols];
-        ub[..sys.num_vars].copy_from_slice(upper);
-        // Artificials are already retired in a terminal basis.
-        ub[sys.art_start..].fill(0.0);
-        let mut status = vec![Status::Lower; sys.total_cols];
-        let basis_cols = warm.cols.clone();
-        for &c in &basis_cols {
-            if c >= sys.total_cols {
-                return None;
-            }
-            status[c] = Status::Basic;
-        }
-        for &j in &warm.upper {
-            if j >= sys.num_vars || !ub[j].is_finite() || ub[j] <= 0.0 {
-                return None;
-            }
-            if status[j] == Status::Basic {
-                continue;
-            }
-            status[j] = Status::Upper;
-        }
-        let mut rev = Rev {
-            sys,
-            ub,
-            status,
-            basis_cols,
-            xb: vec![0.0; m],
-            lu: SparseLu::factorize(0, |_, _| {}, LU_TOL).expect("empty LU"),
-            etas: Vec::new(),
-            pivots: 0,
-        };
-        if rev.refactor().is_err() {
-            return None;
-        }
-        // Primal feasibility of the stored vertex under the new data.
-        for (i, &c) in rev.basis_cols.iter().enumerate() {
-            if rev.xb[i] < -1e-7 || rev.xb[i] > rev.ub[c] + 1e-7 {
-                return None;
-            }
-        }
-        Some(rev)
     }
 
     /// Rebuilds the LU factorization of the current basis and recomputes the
@@ -434,14 +386,7 @@ impl<'a> Rev<'a> {
 
     /// Extracts the final [`Solution`] through the shared canonical
     /// refinement (with terminal-basis and raw-state fallbacks).
-    fn extract(
-        mut self,
-        objective: &[f64],
-        upper: &[f64],
-        sig: u64,
-        bsig: u64,
-        warm_started: bool,
-    ) -> Solution {
+    fn extract(mut self, objective: &[f64], upper: &[f64]) -> Solution {
         let mut basis_cols = self.basis_cols.clone();
         basis_cols.sort_unstable();
         let at_upper = self.at_upper();
@@ -456,14 +401,6 @@ impl<'a> Rev<'a> {
             objective: objective_value,
             duals,
             pivots: self.pivots,
-            basis: Basis {
-                cols: basis_cols,
-                num_vars: self.sys.num_vars,
-                sig,
-                bsig,
-                upper: at_upper,
-            },
-            warm_started,
         }
     }
 
@@ -509,42 +446,16 @@ impl<'a> Rev<'a> {
     }
 }
 
-/// Solves `min c^T x` s.t. `constraints`, `0 ≤ x ≤ upper`, optionally
-/// warm-started from a stored basis. The cost vector must already be in
-/// minimization sense. This is the default backend behind
-/// [`crate::Problem::solve`] and [`crate::Problem::solve_from_basis`].
+/// Solves `min c^T x` s.t. `constraints`, `0 ≤ x ≤ upper`. The cost vector
+/// must already be in minimization sense. This is the default backend
+/// behind [`crate::Problem::solve`].
 pub(crate) fn solve_sparse(
     num_vars: usize,
     objective: &[f64],
     constraints: &[Constraint],
     upper: &[f64],
-    warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
     let sys = NormSystem::build(num_vars, constraints);
-    let sig = relation_sig(constraints);
-    let bsig = bounds_sig(upper);
-
-    // Phase-2 cost vector and entering bars (artificials never re-enter;
-    // ub = 0 pins are enforced inside `may_enter`).
-    let mut c2 = vec![0.0; sys.total_cols];
-    c2[..num_vars].copy_from_slice(objective);
-    let barred_p2: Vec<bool> = (0..sys.total_cols).map(|c| c >= sys.art_start).collect();
-
-    // Warm attempt: re-establish the stored vertex and skip phase 1.
-    if let Some(b) = warm {
-        let shape_ok =
-            b.num_vars == num_vars && b.cols.len() == sys.m() && b.sig == sig && b.bsig == bsig;
-        if shape_ok {
-            if let Some(mut rev) = Rev::warm_start(&sys, upper, b) {
-                if rev.optimize(&c2, &barred_p2).is_ok()
-                    && rev.optimize_face(&c2, &barred_p2).is_ok()
-                {
-                    return Ok(rev.extract(objective, upper, sig, bsig, true));
-                }
-            }
-        }
-    }
-
     let mut rev = Rev::cold_start(&sys, upper)?;
 
     // Phase 1: minimize the sum of artificials.
@@ -561,8 +472,12 @@ pub(crate) fn solve_sparse(
         rev.retire_artificials();
     }
 
-    // Phase 2 + canonical face cleanup.
+    // Phase 2 + canonical face cleanup. Artificials never re-enter; ub = 0
+    // pins are enforced inside `may_enter`.
+    let mut c2 = vec![0.0; sys.total_cols];
+    c2[..num_vars].copy_from_slice(objective);
+    let barred_p2: Vec<bool> = (0..sys.total_cols).map(|c| c >= sys.art_start).collect();
     rev.optimize(&c2, &barred_p2)?;
     rev.optimize_face(&c2, &barred_p2)?;
-    Ok(rev.extract(objective, upper, sig, bsig, false))
+    Ok(rev.extract(objective, upper))
 }

@@ -31,7 +31,7 @@
 
 use crate::norm::{refine_canonical, refine_from_basis, ColDef, NormSystem};
 use crate::problem::{Constraint, Relation};
-use crate::types::{bounds_sig, Basis, LpError, Solution, EPS, FACE_EPS};
+use crate::types::{LpError, Solution, EPS, FACE_EPS};
 
 /// Dense simplex tableau: `rows` constraint rows of `cols` entries each
 /// (the last entry of a row is the right-hand side), plus a reduced-cost row.
@@ -368,13 +368,5 @@ pub(crate) fn solve_dense(
         objective: objective_value,
         duals,
         pivots: t.pivots,
-        basis: Basis {
-            cols: basis_cols,
-            num_vars,
-            sig: sys.rows_sig(),
-            bsig: bounds_sig(upper),
-            upper: Vec::new(),
-        },
-        warm_started: false,
     })
 }

@@ -282,145 +282,6 @@ fn equality_with_zero_rhs_handles_degeneracy() {
     assert_close(sol.values[1], 1.0);
 }
 
-/// The miniature reduce-placement LP used by the warm-start tests: 3 sites,
-/// shuffle volumes `i`, fixed bandwidths and slots.
-fn reduce_shaped_lp(i: [f64; 3]) -> Problem {
-    let up = [5.0, 1.0, 2.0];
-    let down = [5.0, 1.0, 5.0];
-    let slots = [40.0, 10.0, 20.0];
-    let total: f64 = i.iter().sum();
-    let mut p = Problem::minimize(5);
-    p.set_objective(&[(3, 1.0), (4, 1.0)]);
-    for x in 0..3 {
-        p.add_constraint(
-            &[(x, -i[x] / up[x]), (3, -1.0)],
-            Relation::Le,
-            -i[x] / up[x],
-        );
-        p.add_constraint(
-            &[(x, (total - i[x]) / down[x]), (3, -1.0)],
-            Relation::Le,
-            0.0,
-        );
-        p.add_constraint(&[(x, 500.0 / slots[x]), (4, -1.0)], Relation::Le, 0.0);
-    }
-    p.add_constraint(&[(0, 1.0), (1, 1.0), (2, 1.0)], Relation::Eq, 1.0);
-    p
-}
-
-#[test]
-fn warm_start_matches_cold_bit_exact_on_drifted_data() {
-    // Solve a placement-shaped LP, drift the data distribution (as the
-    // recurring workload does between instances), and re-solve both cold
-    // and warm from the first solve's basis: both must land on the same
-    // optimal basis and return bit-identical values, objective and duals.
-    let base = reduce_shaped_lp([10.0, 15.0, 25.0]).solve().unwrap();
-    assert!(!base.warm_started);
-    let drifted = reduce_shaped_lp([11.0, 14.5, 24.5]);
-    let cold = drifted.solve_canonical().unwrap();
-    let warm = drifted.solve_from_basis(&base.basis).unwrap();
-    assert!(warm.warm_started, "drifted basis should stay feasible");
-    assert_eq!(warm.values, cold.values);
-    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-    assert_eq!(warm.duals, cold.duals);
-    assert_eq!(warm.basis, cold.basis);
-}
-
-#[test]
-fn warm_start_identical_problem_needs_no_pivots() {
-    let p = reduce_shaped_lp([10.0, 15.0, 25.0]);
-    let base = p.solve_canonical().unwrap();
-    let warm = p.solve_from_basis(&base.basis).unwrap();
-    assert!(warm.warm_started);
-    // Pivot-into-basis work only; no simplex iterations were needed, so the
-    // count stays at the basis-establishment pivots (= number of rows).
-    assert!(warm.pivots <= p.num_constraints());
-    assert_eq!(warm.values, base.values);
-    assert_eq!(warm.objective.to_bits(), base.objective.to_bits());
-}
-
-#[test]
-fn warm_start_falls_back_on_shape_mismatch() {
-    // A basis from a structurally different problem must be rejected and
-    // the solve must silently take the cold path.
-    let mut other = Problem::minimize(2);
-    other.set_objective(&[(0, 1.0), (1, 2.0)]);
-    other.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 4.0);
-    other.add_constraint(&[(1, 1.0)], Relation::Le, 3.0);
-    let foreign = other.solve().unwrap();
-    assert!(!foreign.basis.compatible_with(5, &[]));
-
-    let p = reduce_shaped_lp([10.0, 15.0, 25.0]);
-    let cold = p.solve_canonical().unwrap();
-    let warm = p.solve_from_basis(&foreign.basis).unwrap();
-    assert!(!warm.warm_started);
-    assert_eq!(warm.values, cold.values);
-    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-}
-
-#[test]
-fn warm_start_falls_back_when_stored_basis_goes_infeasible() {
-    // min x s.t. x >= rhs: at rhs = 5 the optimal basis has x basic; at
-    // rhs = -5 (normalized to x <= 5 after the sign flip... relation changes)
-    // the stored basis shape no longer matches; and for a same-shape change
-    // the vertex may go infeasible. Use a two-constraint instance where the
-    // old basis becomes primal-infeasible.
-    let solve_at = |cap: f64| {
-        let mut p = Problem::minimize(2);
-        p.set_objective(&[(0, 1.0), (1, 3.0)]);
-        p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Ge, 4.0);
-        p.add_constraint(&[(0, 1.0)], Relation::Le, cap);
-        p
-    };
-    let base = solve_at(10.0).solve().unwrap(); // x = 4 basic, slack of cap row basic.
-    let tight = solve_at(1.0); // Old vertex x = 4 violates x <= 1.
-    let cold = tight.solve_canonical().unwrap();
-    let warm = tight.solve_from_basis(&base.basis).unwrap();
-    assert!(!warm.warm_started, "infeasible stored basis must fall back");
-    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-    assert_close(warm.values[0], 1.0);
-    assert_close(warm.values[1], 3.0);
-}
-
-#[test]
-fn warm_start_still_detects_infeasible_problems() {
-    let feasible = {
-        let mut p = Problem::minimize(1);
-        p.set_objective(&[(0, 1.0)]);
-        p.add_constraint(&[(0, 1.0)], Relation::Ge, 1.0);
-        p.add_constraint(&[(0, 1.0)], Relation::Le, 2.0);
-        p
-    };
-    let base = feasible.solve().unwrap();
-    let mut contradictory = Problem::minimize(1);
-    contradictory.set_objective(&[(0, 1.0)]);
-    contradictory.add_constraint(&[(0, 1.0)], Relation::Ge, 5.0);
-    contradictory.add_constraint(&[(0, 1.0)], Relation::Le, 2.0);
-    assert_eq!(
-        contradictory.solve_from_basis(&base.basis).unwrap_err(),
-        LpError::Infeasible
-    );
-}
-
-#[test]
-fn warm_start_max_sense_flips_like_cold() {
-    let build = |cap: f64| {
-        let mut p = Problem::maximize(2);
-        p.set_objective(&[(0, 3.0), (1, 5.0)]);
-        p.add_constraint(&[(0, 1.0)], Relation::Le, 4.0);
-        p.add_constraint(&[(1, 2.0)], Relation::Le, 12.0);
-        p.add_constraint(&[(0, 3.0), (1, 2.0)], Relation::Le, cap);
-        p
-    };
-    let base = build(18.0).solve().unwrap();
-    let drifted = build(18.5);
-    let cold = drifted.solve_canonical().unwrap();
-    let warm = drifted.solve_from_basis(&base.basis).unwrap();
-    assert!(warm.warm_started);
-    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-    assert_eq!(warm.duals, cold.duals);
-}
-
 /// Brute-force reference: enumerate all basic solutions (vertices) of a small
 /// LP by solving every square subsystem of active constraints, keep feasible
 /// ones, and return the best objective.
@@ -584,9 +445,9 @@ proptest! {
     }
 
     /// Perturbing a binding constraint's RHS by a small δ moves the optimal
-    /// objective by ≈ dual·δ (the defining property of shadow prices; the
-    /// warm-start path re-uses duals on this assumption). Because duals are
-    /// subgradients of the convex value function, the exact statement is a
+    /// objective by ≈ dual·δ (the defining property of shadow prices, which
+    /// the placement models read as seconds saved per extra GB/s or slot).
+    /// Because duals are subgradients of the convex value function, the exact statement is a
     /// bracket: the change lies between base-dual·δ and bumped-dual·δ.
     #[test]
     fn duals_predict_binding_rhs_perturbation(
@@ -637,46 +498,6 @@ proptest! {
             change >= lo.min(hi) - tol && change <= lo.max(hi) + tol,
             "objective change {change} outside dual bracket [{lo}, {hi}]"
         );
-    }
-
-    /// Warm-starting from a related instance's basis never changes the
-    /// optimum: cold and warm solves of the same perturbed problem agree,
-    /// and when they land on the same basis they agree bit-for-bit.
-    #[test]
-    fn warm_start_agrees_with_cold_on_random_perturbations(
-        seed_cons in proptest::collection::vec(
-            (proptest::collection::vec(1i32..5, 3), 2i32..20),
-            1..4,
-        ),
-        obj in proptest::collection::vec(1i32..6, 3),
-        scale_pct in 80i32..121,
-    ) {
-        let num_vars = 3;
-        let build = |f: f64| {
-            let mut p = Problem::minimize(num_vars);
-            let terms: Vec<(usize, f64)> =
-                obj.iter().enumerate().map(|(i, &c)| (i, c as f64)).collect();
-            p.set_objective(&terms);
-            for (coef, rhs) in &seed_cons {
-                let terms: Vec<(usize, f64)> =
-                    coef.iter().enumerate().map(|(i, &c)| (i, c as f64)).collect();
-                p.add_constraint(&terms, Relation::Ge, *rhs as f64 * f);
-            }
-            p
-        };
-        let base = build(1.0).solve().unwrap();
-        let drifted = build(scale_pct as f64 / 100.0);
-        let cold = drifted.solve_canonical().unwrap();
-        let warm = drifted.solve_from_basis(&base.basis).unwrap();
-        prop_assert!(
-            (warm.objective - cold.objective).abs() <= 1e-7 * (1.0 + cold.objective.abs()),
-            "warm {} vs cold {}", warm.objective, cold.objective
-        );
-        if warm.basis == cold.basis {
-            prop_assert_eq!(&warm.values, &cold.values);
-            prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-            prop_assert_eq!(&warm.duals, &cold.duals);
-        }
     }
 
     /// On random LPs spanning every outcome class — feasible, infeasible,
@@ -740,41 +561,6 @@ proptest! {
                     "outcome mismatch: sparse {s:?} vs dense {d:?}"
                 )));
             }
-        }
-    }
-
-    /// An exported basis re-imported into `solve_from_basis` on the *same*
-    /// problem reproduces the canonical solution bit for bit and re-exports
-    /// the same basis — the round-trip contract PR 6's template cache and
-    /// this PR's sparse rewrite both depend on.
-    #[test]
-    fn basis_export_import_round_trips(
-        seed_cons in proptest::collection::vec(
-            (proptest::collection::vec(1i32..5, 3), 2i32..20),
-            1..4,
-        ),
-        obj in proptest::collection::vec(1i32..6, 3),
-    ) {
-        let num_vars = 3;
-        let mut p = Problem::minimize(num_vars);
-        let terms: Vec<(usize, f64)> =
-            obj.iter().enumerate().map(|(i, &c)| (i, c as f64)).collect();
-        p.set_objective(&terms);
-        for (coef, rhs) in &seed_cons {
-            let terms: Vec<(usize, f64)> =
-                coef.iter().enumerate().map(|(i, &c)| (i, c as f64)).collect();
-            p.add_constraint(&terms, Relation::Ge, *rhs as f64);
-        }
-        let cold = p.solve_canonical().unwrap();
-        let warm = p.solve_from_basis(&cold.basis).unwrap();
-        prop_assert!(warm.warm_started, "identical problem must accept its own basis");
-        prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        prop_assert_eq!(&warm.basis, &cold.basis, "basis must survive the round trip");
-        for (w, c) in warm.values.iter().zip(&cold.values) {
-            prop_assert_eq!(w.to_bits(), c.to_bits());
-        }
-        for (w, c) in warm.duals.iter().zip(&cold.duals) {
-            prop_assert_eq!(w.to_bits(), c.to_bits());
         }
     }
 }

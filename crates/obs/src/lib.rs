@@ -158,11 +158,12 @@ pub struct PlannerRecord {
     pub tmpl_exact: usize,
     /// Template-cache patched hits (cached split rescaled).
     pub tmpl_patched: usize,
-    /// Solves warm-started from a cached optimal basis.
+    /// Always 0: the plan cache has no warm-start tier. Kept so the
+    /// `.obs.json` planner records keep their shape.
     pub tmpl_warm: usize,
-    /// Cold solves through the template-cache path.
+    /// LP solves through the template-cache path.
     pub tmpl_miss: usize,
-    /// Simplex pivots spent across the instance's warm-started solves.
+    /// Always 0, like [`PlannerRecord::tmpl_warm`].
     pub warm_pivots: usize,
 }
 

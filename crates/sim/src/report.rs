@@ -185,7 +185,7 @@ mod tests {
         RunReport {
             scheduler: "test".into(),
             jobs: rs.iter().enumerate().map(|(i, &r)| outcome(i, r)).collect(),
-            makespan: rs.iter().cloned().fold(0.0, f64::max),
+            makespan: rs.iter().copied().fold(0.0, f64::max),
             total_wan_gb: 0.0,
             sched_invocations: 0,
             sched_wall_secs: 0.0,
