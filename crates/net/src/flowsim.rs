@@ -6,16 +6,23 @@
 //! group was created); a flow joining at drain level `d` with `size` bytes
 //! completes when the clock reaches `d + size`.
 //!
-//! The per-event costs are incremental: rate recomputation reuses a
-//! persistent [`Waterfiller`], which replays the previous max-min fill from
-//! the first step a mutation can alter; each group caches its earliest
-//! completion, recomputed only after its membership or rate changed or the
-//! clock moved, and the next completion is a linear argmin over the cached
-//! values; and time advancement walks a live-group list, so `(src, dst)`
-//! pairs that once carried a flow but drained long ago cost nothing. All of
-//! it is exact: the arithmetic — and therefore every simulated timestamp
-//! and byte count — is bit-identical to recomputing the world from scratch
-//! at every event.
+//! The per-event costs are incremental:
+//!
+//! - Rate recomputation reuses a persistent [`Waterfiller`]. Each flow
+//!   added or removed pushes its group's new count into it, so it keeps
+//!   the link membership across events and replays the previous max-min
+//!   fill from the first step a mutation can alter.
+//! - Each group caches its earliest completion threshold (the validated
+//!   top of its threshold heap), dropped only when the group's membership
+//!   changes, and its ETA, recomputed from that threshold after its rate
+//!   changed or the clock moved. The next completion is a linear argmin
+//!   over the cached ETAs.
+//! - Time advancement walks a live-group list, so `(src, dst)` pairs that
+//!   once carried a flow but drained long ago cost nothing.
+//!
+//! All of it is exact: the arithmetic — and therefore every simulated
+//! timestamp and byte count — is bit-identical to recomputing the world
+//! from scratch at every event.
 
 use crate::maxmin::{WaterfillStats, Waterfiller};
 use std::cmp::Reverse;
@@ -60,6 +67,10 @@ struct Group {
     /// Completion thresholds `(join_drain + size, flow index)`, min-first;
     /// entries for removed flows are discarded lazily.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Cached validated heap top `(threshold, flow)`: the earliest
+    /// completion threshold among the alive members. `None` until
+    /// validated, and again after every membership change.
+    top: Option<(f64, usize)>,
     /// Cached earliest completion `(eta, flow)`, `None` while stalled.
     /// Valid only while `eta_fresh`.
     eta: Option<(f64, usize)>,
@@ -68,9 +79,54 @@ struct Group {
     eta_fresh: bool,
 }
 
+impl Group {
+    /// The earliest `(completion time, flow)` of this group (id `g`), or
+    /// `None` when it has no runnable member at a positive rate. The
+    /// threshold comes from the cached heap top; only after a membership
+    /// change is the heap validated against the flow slab again.
+    fn earliest(&mut self, g: usize, flows: &[FlowRec], now: f64) -> Option<(f64, usize)> {
+        let (threshold, idx) = match self.top {
+            Some(top) => top,
+            None => {
+                // Discard heap entries of removed flows or stale re-additions.
+                let (th, idx) = loop {
+                    let &Reverse((th, idx)) = self.heap.peek()?;
+                    let valid = flows.get(idx).is_some_and(|f| {
+                        f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
+                    });
+                    if valid {
+                        break (th, idx);
+                    }
+                    self.heap.pop();
+                };
+                let top = (f64::from_bits(th), idx);
+                self.top = Some(top);
+                top
+            }
+        };
+        Some((eta(threshold, self.drained, self.rate, now)?, idx))
+    }
+}
+
 /// Orders non-negative f64 thresholds as u64 keys.
 fn key(v: f64) -> u64 {
     v.max(0.0).to_bits()
+}
+
+/// Completion time of a group member with drain threshold `threshold`, or
+/// `None` while the group is stalled.
+fn eta(threshold: f64, drained: f64, rate: f64, now: f64) -> Option<f64> {
+    let remaining = (threshold - drained).max(0.0);
+    if remaining <= 1e-12 {
+        Some(now)
+    } else if rate <= 0.0 {
+        // Stalled: the group sits on a zeroed link (`set_capacity` with 0
+        // during an outage). No finite ETA exists; the group rejoins the
+        // completion scan when a capacity change restores its rate.
+        None
+    } else {
+        Some(now + remaining / rate)
+    }
 }
 
 /// Maps any non-NaN f64 to a u64 that orders like the float (negative
@@ -260,6 +316,7 @@ impl FlowSim {
                         rate: 0.0,
                         drained: 0.0,
                         heap: BinaryHeap::new(),
+                        top: None,
                         eta: None,
                         eta_fresh: false,
                     });
@@ -268,12 +325,13 @@ impl FlowSim {
             let grp = &mut self.groups[g];
             grp.count += 1;
             grp.heap.push(Reverse((key(grp.drained + gb), idx)));
+            grp.top = None;
             grp.eta_fresh = false;
-            let join = grp.drained;
-            if grp.count == 1 {
+            let (join, count) = (grp.drained, grp.count);
+            if count == 1 {
                 self.live_insert(g);
             }
-            self.wf.mark_pair_dirty(src.index(), dst.index());
+            self.wf.set_group(g, src.index(), dst.index(), count);
             self.dirty = true;
             self.cached_next = None;
             (Some(g), join, 0)
@@ -314,13 +372,15 @@ impl FlowSim {
             Some(g) => {
                 let grp = &mut self.groups[g];
                 grp.count -= 1;
+                // The flow's heap entry is discarded lazily when it
+                // surfaces; the cached top may be that entry.
+                grp.top = None;
                 grp.eta_fresh = false;
-                // Heap entries are discarded lazily when popped.
-                if grp.count == 0 {
+                let (src, dst, count) = (grp.src, grp.dst, grp.count);
+                if count == 0 {
                     self.live_remove(g);
                 }
-                let (src, dst) = (self.groups[g].src, self.groups[g].dst);
-                self.wf.mark_pair_dirty(src, dst);
+                self.wf.set_group(g, src, dst, count);
                 self.dirty = true;
                 // Refund WAN accounting for unsent bytes of a cancelled flow.
                 self.total_wan_gb -= remaining;
@@ -359,7 +419,7 @@ impl FlowSim {
         assert!(up_gbps >= 0.0 && down_gbps >= 0.0 && up_gbps.is_finite() && down_gbps.is_finite());
         self.up_gbps[site.index()] = up_gbps;
         self.down_gbps[site.index()] = down_gbps;
-        self.wf.mark_pair_dirty(site.index(), site.index());
+        self.wf.mark_site_dirty(site.index());
         self.dirty = true;
         self.cached_next = None;
         if self.obs.is_enabled() {
@@ -404,37 +464,6 @@ impl FlowSim {
         self.now = t;
     }
 
-    /// The earliest `(completion time, flow)` of group `g` (validating the
-    /// group's threshold heap lazily), or `None` when the group has no
-    /// runnable member at a positive rate.
-    fn group_eta(&mut self, g: usize) -> Option<(f64, usize)> {
-        let Self { groups, flows, .. } = self;
-        let grp = groups.get_mut(g)?;
-        // Discard heap entries of removed flows or stale re-additions.
-        let (threshold, idx) = loop {
-            let &Reverse((th, idx)) = grp.heap.peek()?;
-            let valid = flows.get(idx).is_some_and(|f| {
-                f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
-            });
-            if valid {
-                break (th, idx);
-            }
-            grp.heap.pop();
-        };
-        let remaining = (f64::from_bits(threshold) - grp.drained).max(0.0);
-        let eta = if remaining <= 1e-12 {
-            self.now
-        } else if grp.rate <= 0.0 {
-            // Stalled: the group sits on a zeroed link (`set_capacity` with
-            // 0 during an outage). No finite ETA exists; the group rejoins
-            // the completion scan when a capacity change restores its rate.
-            return None;
-        } else {
-            self.now + remaining / grp.rate
-        };
-        Some((eta, idx))
-    }
-
     /// The earliest `(flow, absolute completion time)` among in-flight flows
     /// at current rates, or `None` when no flows are active.
     ///
@@ -445,6 +474,14 @@ impl FlowSim {
             return cached;
         }
         self.flush_link_sample();
+        let best = self.scan_completion();
+        self.cached_next = Some(best);
+        best
+    }
+
+    /// Computes [`FlowSim::next_completion`] from the group caches, without
+    /// the memo.
+    fn scan_completion(&mut self) -> Option<(FlowKey, f64)> {
         self.refresh();
         // Local flows (no group) complete immediately.
         if let Some(&i) = self.locals.first() {
@@ -453,31 +490,30 @@ impl FlowSim {
         // Argmin of `(eta, group)` over the live list (ascending ids, so a
         // strict `<` keeps the lowest group on ties), refreshing stale
         // cached ETAs on the way.
+        let Self {
+            live,
+            groups,
+            flows,
+            now,
+            ..
+        } = self;
         let mut best: Option<(u64, usize, f64)> = None;
-        for i in 0..self.live.len() {
-            let Some(&g) = self.live.get(i) else { break };
-            let cached = match self.groups.get(g) {
-                Some(grp) if grp.eta_fresh => grp.eta,
-                Some(_) => {
-                    let eta = self.group_eta(g);
-                    if let Some(grp) = self.groups.get_mut(g) {
-                        grp.eta = eta;
-                        grp.eta_fresh = true;
-                    }
-                    eta
-                }
-                None => None,
+        for &g in live.iter() {
+            let Some(grp) = groups.get_mut(g) else {
+                continue;
             };
-            if let Some((eta, flow)) = cached {
+            if !grp.eta_fresh {
+                grp.eta = grp.earliest(g, flows, *now);
+                grp.eta_fresh = true;
+            }
+            if let Some((eta, flow)) = grp.eta {
                 let ord = ord_key(eta);
                 if best.is_none_or(|(b, _, _)| ord < b) {
                     best = Some((ord, flow, eta));
                 }
             }
         }
-        let best = best.map(|(_, flow, eta)| (FlowKey(flow), eta));
-        self.cached_next = Some(best);
-        best
+        best.map(|(_, flow, eta)| (FlowKey(flow), eta))
     }
 
     /// Remaining volume of a flow in GB (zero for local flows, which never
@@ -566,20 +602,11 @@ impl FlowSim {
         let Self {
             wf,
             groups,
-            live,
             up_gbps,
             down_gbps,
             ..
         } = self;
-        wf.refill(
-            live,
-            |g| {
-                let gr = &groups[g];
-                (gr.src, gr.dst, gr.count)
-            },
-            up_gbps,
-            down_gbps,
-        );
+        wf.refill(up_gbps, down_gbps);
         for &(g, r) in wf.refilled() {
             if let Some(grp) = groups.get_mut(g) {
                 if grp.rate.to_bits() != r.to_bits() {
@@ -611,6 +638,15 @@ impl FlowSim {
     /// 4. Bookkeeping consistency: group member counts match the alive flow
     ///    records, the live list is exactly the non-empty groups in
     ///    ascending order, and `active` counts the alive flows.
+    /// 5. Every live group's cached earliest threshold, when validated,
+    ///    equals bit for bit the minimum `(join_drain + size, flow)` over its
+    ///    alive flows, recomputed from the flow slab.
+    /// 6. The waterfiller's group table and per-link member lists equal the
+    ///    from-scratch membership of the live groups, in ascending id.
+    /// 7. The completion scan behind [`FlowSim::next_completion`] equals,
+    ///    bit for bit, a from-scratch argmin over `(eta, group)` with every
+    ///    threshold recomputed from the slab. (The memo it returns between
+    ///    mutations is the scan taken at the last one.)
     pub fn audit(&mut self, ctx: &str) {
         self.refresh();
         let n = self.up_gbps.len();
@@ -724,6 +760,67 @@ impl FlowSim {
             self.live,
             expect_live
         );
+
+        // 5. Cached thresholds vs the slab.
+        let mut earliest: Vec<Option<(u64, usize)>> = vec![None; self.groups.len()];
+        for (i, f) in self.flows.iter().enumerate() {
+            if let (true, Some(g)) = (f.alive, f.group) {
+                let cand = (key(f.join_drain + f.size_gb), i);
+                if earliest[g].is_none_or(|e| cand < e) {
+                    earliest[g] = Some(cand);
+                }
+            }
+        }
+        for &g in &self.live {
+            if let Some((th, flow)) = self.groups[g].top {
+                assert!(
+                    Some((th.to_bits(), flow)) == earliest[g],
+                    "audit[{ctx}]: group {g} cached earliest threshold \
+                     ({th:?}, flow {flow}) != from-scratch {:?} at t={}",
+                    earliest[g].map(|(k, i)| (f64::from_bits(k), i)),
+                    self.now
+                );
+            }
+        }
+
+        // 6. Waterfiller membership vs the live groups.
+        let live: Vec<(usize, usize, usize, usize)> = self
+            .live
+            .iter()
+            .map(|&g| {
+                let gr = &self.groups[g];
+                (g, gr.src, gr.dst, gr.count)
+            })
+            .collect();
+        self.wf.audit_membership(ctx, &live);
+
+        // 7. The completion scan vs a from-scratch argmin.
+        let mut want: Option<(FlowKey, f64)> = None;
+        if let Some(&i) = self.locals.first() {
+            want = Some((FlowKey(i), self.now));
+        } else {
+            let mut best: Option<(u64, usize, f64)> = None;
+            for &g in &self.live {
+                let gr = &self.groups[g];
+                let Some((th, flow)) = earliest[g] else {
+                    continue;
+                };
+                if let Some(t) = eta(f64::from_bits(th), gr.drained, gr.rate, self.now) {
+                    if best.is_none_or(|(b, _, _)| ord_key(t) < b) {
+                        best = Some((ord_key(t), flow, t));
+                    }
+                }
+            }
+            if let Some((_, flow, t)) = best {
+                want = Some((FlowKey(flow), t));
+            }
+        }
+        let got = self.scan_completion();
+        assert!(
+            got.map(|(k, t)| (k, t.to_bits())) == want.map(|(k, t)| (k, t.to_bits())),
+            "audit[{ctx}]: completion scan {got:?} != from-scratch argmin {want:?} at t={}",
+            self.now
+        );
     }
 }
 
@@ -760,6 +857,23 @@ mod tests {
             sim.audit("drain to empty");
         }
         assert!(sim.active_flows() == 0);
+        // Revive drained pair 0->1 (group 0) beside live 0->2 (group 1) on
+        // uplink 0, then move the revived group's earliest threshold both
+        // ways: a nearer flow joins, and the earliest is cancelled.
+        sim.add_flow(SiteId(0), SiteId(2), 9.0);
+        sim.next_completion();
+        let d = sim.add_flow(SiteId(0), SiteId(1), 3.0);
+        sim.add_flow(SiteId(1), SiteId(0), 1.0);
+        sim.audit("revival");
+        sim.next_completion();
+        let e = sim.add_flow(SiteId(0), SiteId(1), 2.0);
+        sim.audit("nearer join");
+        let (_, t) = sim.next_completion().unwrap();
+        sim.advance_to(sim.now() + (t - sim.now()) * 0.5);
+        sim.remove_flow(e);
+        sim.audit("cancel earliest");
+        sim.remove_flow(d);
+        sim.audit("cancel last of group");
         let _ = (a, b);
     }
 
@@ -897,6 +1011,83 @@ mod tests {
         assert!((tc - 3.0).abs() < 1e-9);
         sim.advance_to(tc);
         assert_eq!(sim.remove_flow(c), 0.0);
+    }
+
+    /// Cancelling the flow at the top of its group's threshold heap must
+    /// drop the group's cached earliest threshold: the next completion is
+    /// the next member, at exactly the time the drain arithmetic gives.
+    #[test]
+    fn cancelling_the_earliest_member_hands_completion_to_the_next() {
+        // Three flows share uplink 0 (3 GB/s) at 1 GB/s each.
+        let mut sim = FlowSim::new(vec![3.0, 9.0], vec![9.0, 9.0]);
+        let a = sim.add_flow(SiteId(0), SiteId(1), 1.0);
+        let b = sim.add_flow(SiteId(0), SiteId(1), 4.0);
+        let c = sim.add_flow(SiteId(0), SiteId(1), 6.0);
+        assert_eq!(sim.next_completion(), Some((a, 1.0)));
+        // Cancel `a` halfway: the group has drained 0.5 GB per flow, and
+        // the two survivors now get 1.5 GB/s each.
+        sim.advance_to(0.5);
+        sim.remove_flow(a);
+        let t_b = 0.5 + (4.0 - 0.5) / 1.5;
+        assert_eq!(sim.next_completion(), Some((b, t_b)));
+        sim.advance_to(t_b);
+        assert_eq!(sim.remove_flow(b), 0.0);
+        let (k, t_c) = sim.next_completion().unwrap();
+        assert_eq!(k, c);
+        assert_eq!(t_c.to_bits(), (t_b + (6.0 - 4.0) / 3.0).to_bits());
+    }
+
+    /// A flow that joins a group with a nearer threshold than the cached
+    /// earliest one must replace it: the join drops the cached threshold.
+    #[test]
+    fn joining_flow_with_a_nearer_threshold_completes_first() {
+        // Two flows share uplink 0 (2 GB/s) at 1 GB/s each.
+        let mut sim = FlowSim::new(vec![2.0, 9.0], vec![9.0, 9.0]);
+        let a = sim.add_flow(SiteId(0), SiteId(1), 4.0);
+        sim.add_flow(SiteId(0), SiteId(1), 6.0);
+        assert_eq!(sim.next_completion(), Some((a, 4.0)));
+        sim.advance_to(1.0);
+        // At 2/3 GB/s each now, 1 GB of `b` finishes before `a`'s 3 left.
+        let b = sim.add_flow(SiteId(0), SiteId(1), 1.0);
+        assert_eq!(sim.next_completion(), Some((b, 1.0 + 1.0 / (2.0 / 3.0))));
+    }
+
+    /// A pair whose group drained empty leaves its links' member lists, and
+    /// on revival re-enters them in group-id order, not at the end; every
+    /// rate stays bit-identical to a from-scratch fill.
+    #[test]
+    fn revived_group_rejoins_its_links_in_id_order() {
+        let (up, down) = (vec![2.0, 3.0, 5.0], vec![9.0, 9.0, 4.0]);
+        let mut sim = FlowSim::new(up.clone(), down.clone());
+        // Groups by creation: 0 is 0->2, 1 is 1->2, 2 is 0->1.
+        let pairs = [(0, 2), (1, 2), (0, 1)];
+        let a = sim.add_flow(SiteId(0), SiteId(2), 5.0);
+        let b = sim.add_flow(SiteId(1), SiteId(2), 5.0);
+        let c = sim.add_flow(SiteId(0), SiteId(1), 5.0);
+        let check = |sim: &mut FlowSim, flows: &[(FlowKey, usize)], counts: [usize; 3]| {
+            let specs: Vec<crate::GroupSpec> = pairs
+                .iter()
+                .zip(counts)
+                .map(|(&(src, dst), count)| crate::GroupSpec { src, dst, count })
+                .collect();
+            let want = crate::waterfill_groups(&specs, &up, &down);
+            for &(k, g) in flows {
+                assert_eq!(sim.rate_gbps(k).to_bits(), want[g].to_bits(), "group {g}");
+            }
+        };
+        let (up0, down2) = (0, 3 + 2);
+        check(&mut sim, &[(a, 0), (b, 1), (c, 2)], [1, 1, 1]);
+        assert_eq!(sim.wf.members(up0), &[0, 2]);
+        assert_eq!(sim.wf.members(down2), &[0, 1]);
+        sim.advance_to(1.0);
+        sim.remove_flow(a);
+        check(&mut sim, &[(b, 1), (c, 2)], [0, 1, 1]);
+        assert_eq!(sim.wf.members(up0), &[2]);
+        assert_eq!(sim.wf.members(down2), &[1]);
+        let d = sim.add_flow(SiteId(0), SiteId(2), 5.0);
+        check(&mut sim, &[(b, 1), (c, 2), (d, 0)], [1, 1, 1]);
+        assert_eq!(sim.wf.members(up0), &[0, 2]);
+        assert_eq!(sim.wf.members(down2), &[0, 1]);
     }
 
     /// Drains `n` flows over `sites` sites to completion, asserting exact

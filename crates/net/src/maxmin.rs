@@ -1,10 +1,11 @@
 //! Max-min fair rate allocation by progressive filling.
 //!
 //! [`waterfill_groups`] fills from scratch and is the reference. The
-//! persistent [`Waterfiller`] behind the flow simulator records each fill
-//! and replays it from the first step a mutation can alter; its docs give
-//! the argmin and divergence argument that keeps the replay bit-identical
-//! to the reference.
+//! persistent [`Waterfiller`] behind the flow simulator owns the group
+//! table and link membership, which callers update one group change at a
+//! time; it records each fill and replays it from the first step a
+//! mutation can alter. Its docs give the argmin and divergence argument
+//! that keeps the replay bit-identical to the reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -101,24 +102,25 @@ pub struct GroupSpec {
 /// Max-min fair per-flow rate of each group, by progressive filling with a
 /// lazily re-validated link heap.
 ///
-/// Stateless convenience wrapper over [`Waterfiller`]: allocates fresh
-/// scratch per call. Hot callers (the flow simulator) hold a persistent
-/// [`Waterfiller`] instead and reuse its buffers across calls.
+/// Stateless convenience wrapper over [`Waterfiller`]: group `g` of the
+/// slice becomes group id `g` of a fresh waterfiller. Hot callers (the flow
+/// simulator) hold a persistent [`Waterfiller`] instead and push each group
+/// change into it.
 pub fn waterfill_groups(groups: &[GroupSpec], up_gbps: &[f64], down_gbps: &[f64]) -> Vec<f64> {
     let n = up_gbps.len();
     assert_eq!(down_gbps.len(), n);
     let mut wf = Waterfiller::new(n);
+    for (g, spec) in groups.iter().enumerate() {
+        if spec.count > 0 {
+            wf.set_group(g, spec.src, spec.dst, spec.count);
+        }
+    }
+    wf.refill(up_gbps, down_gbps);
     let mut rates = vec![0.0f64; groups.len()];
-    let live: Vec<usize> = (0..groups.len()).filter(|&g| groups[g].count > 0).collect();
-    wf.mark_all_dirty();
-    wf.refill(
-        &live,
-        |g| (groups[g].src, groups[g].dst, groups[g].count),
-        up_gbps,
-        down_gbps,
-    );
     for &(g, r) in wf.refilled() {
-        rates[g] = r;
+        if let Some(rate) = rates.get_mut(g) {
+            *rate = r;
+        }
     }
     rates
 }
@@ -238,17 +240,19 @@ pub struct WaterfillStats {
 /// argmin over active links of `(key(rem / act), link index)`: every
 /// active link keeps a heap entry at or below its current key (see the
 /// fill loop), so the first entry that validates is the strict minimum.
-/// The fill is therefore a pure function of the live groups (in order) and
-/// the capacities, and each step depends only on the state of the links.
+/// The fill is therefore a pure function of the live groups (in ascending
+/// id order) and the capacities, and each step depends only on the state of
+/// the links.
 ///
 /// # Replay from the first step a mutation can alter
 ///
 /// Every refill records its steps (selected link, level key, level) and an
 /// undo log holding, per freeze, the other link's state before the freeze.
-/// A mutation — a group's count changing, a group appearing or vanishing,
-/// a capacity change — marks the links it touches *dirty*. Non-dirty links
-/// keep their capacity and their member groups with the same counts, so
-/// step `j` of the previous fill recurs unchanged exactly when
+/// A mutation — a group's count changing, a group appearing or vanishing
+/// ([`set_group`]), a capacity change ([`mark_site_dirty`]) — marks the
+/// links it touches *dirty*. Non-dirty links keep their capacity and their
+/// member groups with the same counts, so step `j` of the previous fill
+/// recurs unchanged exactly when
 ///
 /// - its selected link is not dirty, and
 /// - no dirty link's new key sorts before `(key_j, link_j)`.
@@ -272,31 +276,33 @@ pub struct WaterfillStats {
 /// # Sparsity
 ///
 /// Construction allocates only the per-link arrays (`2 × n_sites`
-/// entries). Per-group state (`spec_cache`, `link_groups` entries) is keyed
-/// by *position in the caller's sorted live list*, O(live pairs), even when
-/// the caller numbers groups by dense `(src, dst)` pair index. The recorded
-/// fill is O(links) steps and O(live groups) undo entries. A refill costs
-/// O(live) to rebuild the link membership, plus the divergence scan over
-/// the kept prefix's undo entries, plus the suffix it refills.
+/// entries). Per-group state is keyed by the caller's group id: one table
+/// entry per id up to the largest one set, so ids should be dense (the
+/// flow simulator numbers its pair groups in creation order), and one
+/// link-list entry per live group on each of its two links. The link
+/// member lists persist across refills and change only when a group
+/// appears or empties, by a sorted insert or remove. The recorded fill is
+/// O(links) steps and O(live groups) undo entries. A refill costs the
+/// divergence scan over the kept prefix's undo entries plus the suffix it
+/// refills; it never walks the live groups.
 ///
 /// [`refill`]: Waterfiller::refill
+/// [`set_group`]: Waterfiller::set_group
+/// [`mark_site_dirty`]: Waterfiller::mark_site_dirty
 #[derive(Debug)]
 pub struct Waterfiller {
     n_sites: usize,
     /// Per-link fill state (0..n uplinks, n..2n downlinks). Between refills
     /// it holds the final state of the recorded fill.
     links: Vec<LinkFill>,
-    /// Per-link list of live-list positions of the groups crossing it,
-    /// ascending (the fill's arithmetic order). Rebuilt every refill.
-    /// Positions, not group ids: the fill never indexes anything by the
-    /// caller's (possibly dense-pair) ids.
+    /// Per-link ids of the live groups crossing it, ascending: the order in
+    /// which the fill freezes them and logs their undo entries. Kept across
+    /// refills by [`Waterfiller::set_group`].
     link_groups: Vec<Vec<u32>>,
-    /// Links with a non-empty `link_groups` entry.
+    /// Links with a non-empty `link_groups` entry, in no particular order.
     live_links: Vec<u32>,
-    /// `(uplink, downlink, count)` per live-list position for the current
-    /// refill, so the fill stays on this compact array instead of chasing
-    /// the caller's group records.
-    spec_cache: Vec<(u32, u32, u32)>,
+    /// `(uplink, downlink, count)` per group id; count 0 means not live.
+    groups: Vec<(u32, u32, u32)>,
     /// Saturation heap of [`pack`]ed `(level key, link)` entries, min-first.
     heap: BinaryHeap<Reverse<u128>>,
     /// The recorded fill: one entry per saturation step.
@@ -322,7 +328,7 @@ impl Waterfiller {
             links: vec![LinkFill::default(); links],
             link_groups: vec![Vec::new(); links],
             live_links: Vec::new(),
-            spec_cache: Vec::new(),
+            groups: Vec::new(),
             heap: BinaryHeap::new(),
             steps: Vec::new(),
             undo: Vec::new(),
@@ -334,9 +340,74 @@ impl Waterfiller {
         }
     }
 
+    /// Sets group `g` to carry `count` flows from site `src` to site `dst`
+    /// and marks the pair's uplink and downlink dirty. Count 0 takes the
+    /// group out of the fill. A group enters or leaves its links' member
+    /// lists only when it appears or empties, so a count change on a live
+    /// group costs two dirty marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` (local flows cross no link), a site is out of
+    /// range, or a live group is given another pair.
+    pub fn set_group(&mut self, g: usize, src: usize, dst: usize, count: usize) {
+        let n = self.n_sites;
+        assert!(src != dst, "local flows cannot be grouped");
+        assert!(src < n && dst < n);
+        let (up, down) = (src as u32, (n + dst) as u32);
+        if self.groups.len() <= g {
+            self.groups.resize(g + 1, (0, 0, 0));
+        }
+        let Some(rec) = self.groups.get_mut(g) else {
+            return;
+        };
+        let (old_up, old_down, old_count) = std::mem::replace(rec, (up, down, count as u32));
+        assert!(
+            old_count == 0 || (old_up, old_down) == (up, down),
+            "a live group keeps its site pair"
+        );
+        let id = g as u32;
+        if old_count > 0 && count == 0 {
+            self.leave_link(id, up);
+            self.leave_link(id, down);
+        } else if old_count == 0 && count > 0 {
+            self.join_link(id, up);
+            self.join_link(id, down);
+        }
+        self.mark_dirty(up as usize);
+        self.mark_dirty(down as usize);
+    }
+
+    /// Inserts group `g` into link `l`'s member list, keeping it ascending.
+    fn join_link(&mut self, g: u32, l: u32) {
+        let Some(members) = self.link_groups.get_mut(l as usize) else {
+            return;
+        };
+        if members.is_empty() {
+            self.live_links.push(l);
+        }
+        let pos = members.partition_point(|&m| m < g);
+        members.insert(pos, g);
+    }
+
+    /// Removes group `g` from link `l`'s member list.
+    fn leave_link(&mut self, g: u32, l: u32) {
+        let Some(members) = self.link_groups.get_mut(l as usize) else {
+            return;
+        };
+        if let Ok(pos) = members.binary_search(&g) {
+            members.remove(pos);
+        }
+        if members.is_empty() {
+            if let Some(pos) = self.live_links.iter().position(|&x| x == l) {
+                self.live_links.swap_remove(pos);
+            }
+        }
+    }
+
     /// Marks one site's uplink (`link < n_sites`) or downlink
-    /// (`n_sites + site`) dirty: its capacity or the counts of the groups
-    /// crossing it changed since the last [`refill`].
+    /// (`n_sites + site`) dirty: its capacity changed since the last
+    /// [`refill`].
     ///
     /// [`refill`]: Waterfiller::refill
     #[inline]
@@ -352,11 +423,11 @@ impl Waterfiller {
         }
     }
 
-    /// Marks the uplink of `src` and the downlink of `dst` dirty.
+    /// Marks both links of `site` dirty: its capacities changed.
     #[inline]
-    pub fn mark_pair_dirty(&mut self, src: usize, dst: usize) {
-        self.mark_dirty(src);
-        self.mark_dirty(self.n_sites + dst);
+    pub fn mark_site_dirty(&mut self, site: usize) {
+        self.mark_dirty(site);
+        self.mark_dirty(self.n_sites + site);
     }
 
     /// Marks everything dirty: the next [`refill`] discards the recorded
@@ -388,18 +459,10 @@ impl Waterfiller {
 
     /// Recomputes the rates of every live group whose freeze step lies at
     /// or after the first step of the previous fill that a dirty link can
-    /// alter, and clears the dirty set. `live` must list live (count > 0)
-    /// group ids in ascending order; `spec` maps a group id to its
-    /// `(src, dst, count)`. The results are exposed via
+    /// alter, and clears the dirty set. The results are exposed via
     /// [`Waterfiller::refilled`]; every other live group keeps, bit for bit,
     /// the rate the caller stored for it from an earlier refill.
-    pub fn refill(
-        &mut self,
-        live: &[usize],
-        spec: impl Fn(usize) -> (usize, usize, usize),
-        up_gbps: &[f64],
-        down_gbps: &[f64],
-    ) {
+    pub fn refill(&mut self, up_gbps: &[f64], down_gbps: &[f64]) {
         let n = self.n_sites;
         assert_eq!(up_gbps.len(), n);
         assert_eq!(down_gbps.len(), n);
@@ -407,7 +470,6 @@ impl Waterfiller {
         if !self.is_dirty() {
             return;
         }
-        self.rebuild_membership(live, spec);
         let keep = if self.all_dirty {
             self.steps.clear();
             self.undo.clear();
@@ -422,44 +484,12 @@ impl Waterfiller {
             self.rewind(keep);
             keep
         };
-        self.fill(live);
+        self.fill();
         self.stats.refills += 1;
         self.stats.steps_reused += keep as u64;
         self.stats.groups_refrozen += self.refilled.len() as u64;
         self.all_dirty = false;
         self.clear_dirty_links();
-    }
-
-    /// Caches the live groups' specs and rebuilds the link membership lists.
-    fn rebuild_membership(
-        &mut self,
-        live: &[usize],
-        spec: impl Fn(usize) -> (usize, usize, usize),
-    ) {
-        let n = self.n_sites;
-        for &l in &self.live_links {
-            if let Some(members) = self.link_groups.get_mut(l as usize) {
-                members.clear();
-            }
-        }
-        self.live_links.clear();
-        self.spec_cache.clear();
-        for (i, &g) in live.iter().enumerate() {
-            let (src, dst, count) = spec(g);
-            assert!(src != dst, "local flows cannot be grouped");
-            assert!(src < n && dst < n);
-            debug_assert!(count > 0, "live groups carry flows");
-            self.spec_cache
-                .push((src as u32, (n + dst) as u32, count as u32));
-            for l in [src, n + dst] {
-                if let Some(members) = self.link_groups.get_mut(l) {
-                    if members.is_empty() {
-                        self.live_links.push(l as u32);
-                    }
-                    members.push(i as u32);
-                }
-            }
-        }
     }
 
     /// Puts link `l` in its initial state: full capacity, every member
@@ -474,7 +504,7 @@ impl Waterfiller {
         let act = self.link_groups.get(l).map_or(0, |members| {
             members
                 .iter()
-                .filter_map(|&i| self.spec_cache.get(i as usize))
+                .filter_map(|&g| self.groups.get(g as usize))
                 .map(|&(_, _, count)| count)
                 .sum()
         });
@@ -597,12 +627,12 @@ impl Waterfiller {
     /// Progressive filling from the current link states, appending to the
     /// recorded fill. Each group freezes once, giving
     /// `O(groups + links·log links)` for a full fill.
-    fn fill(&mut self, live: &[usize]) {
+    fn fill(&mut self) {
         let Waterfiller {
             links,
             link_groups,
             live_links,
-            spec_cache,
+            groups,
             heap,
             steps,
             undo,
@@ -651,8 +681,8 @@ impl Waterfiller {
             // group is already frozen exactly when its other link saturated
             // at an earlier step, which left that link's count at zero.
             let members = link_groups.get(l).map(Vec::as_slice).unwrap_or_default();
-            for &i in members {
-                let Some(&(up, down, count)) = spec_cache.get(i as usize) else {
+            for &g in members {
+                let Some(&(up, down, count)) = groups.get(g as usize) else {
                     continue;
                 };
                 let other = if up as usize == l { down } else { up };
@@ -669,9 +699,7 @@ impl Waterfiller {
                     rem: o.rem,
                 });
                 o.freeze(level, count, other as usize, heap);
-                if let Some(&g) = live.get(i as usize) {
-                    refilled.push((g, level));
-                }
+                refilled.push((g as usize, level));
             }
         }
     }
@@ -683,6 +711,61 @@ impl Waterfiller {
     /// [`refill`]: Waterfiller::refill
     pub fn refilled(&self) -> &[(usize, f64)] {
         &self.refilled
+    }
+}
+
+#[cfg(feature = "audit")]
+impl Waterfiller {
+    /// Audit-mode check (feature `audit`): the group table and the per-link
+    /// member lists equal the from-scratch membership of `live`, the
+    /// caller's `(group, src, dst, count)` for every live group in
+    /// ascending id. Panics with context on any difference.
+    pub(crate) fn audit_membership(&self, ctx: &str, live: &[(usize, usize, usize, usize)]) {
+        let n = self.n_sites;
+        let mut want_groups = vec![0u32; self.groups.len()];
+        let mut want_links: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
+        for &(g, src, dst, count) in live {
+            let rec = self.groups.get(g).copied();
+            assert!(
+                rec == Some((src as u32, (n + dst) as u32, count as u32)),
+                "audit[{ctx}]: waterfiller group {g} is {rec:?}, caller has \
+                 {src}->{dst} with {count} flows"
+            );
+            want_groups[g] = count as u32;
+            want_links[src].push(g as u32);
+            want_links[n + dst].push(g as u32);
+        }
+        for (g, &(_, _, count)) in self.groups.iter().enumerate() {
+            assert!(
+                count == want_groups[g],
+                "audit[{ctx}]: waterfiller group {g} has count {count}, caller {}",
+                want_groups[g]
+            );
+        }
+        for (l, want) in want_links.iter().enumerate() {
+            assert!(
+                self.link_groups[l] == *want,
+                "audit[{ctx}]: link {l} members {:?} != from-scratch {want:?}",
+                self.link_groups[l]
+            );
+        }
+        let mut live_links = self.live_links.clone();
+        live_links.sort_unstable();
+        let want_live: Vec<u32> = (0..2 * n as u32)
+            .filter(|&l| !want_links[l as usize].is_empty())
+            .collect();
+        assert!(
+            live_links == want_live,
+            "audit[{ctx}]: live links {live_links:?} != non-empty member lists {want_live:?}"
+        );
+    }
+}
+
+#[cfg(test)]
+impl Waterfiller {
+    /// The ids of the live groups crossing `link`, in fill order.
+    pub(crate) fn members(&self, link: usize) -> &[u32] {
+        &self.link_groups[link]
     }
 }
 
@@ -793,7 +876,7 @@ mod tests {
                     counts[g] += rng.gen_range(1..4usize);
                 }
                 let (s, d) = pairs[g];
-                wf.mark_pair_dirty(s, d);
+                wf.set_group(g, s, d, counts[g]);
             }
             if rng.gen_bool(0.3) {
                 // A site's links go to zero and come back a few steps later.
@@ -816,13 +899,12 @@ mod tests {
                         s
                     }
                 };
-                wf.mark_pair_dirty(s, s);
+                wf.mark_site_dirty(s);
             }
             if step % 97 == 50 {
                 wf.mark_all_dirty();
             }
-            let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
-            wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
+            wf.refill(&up, &down);
             for &(g, r) in wf.refilled() {
                 rates[g] = r;
             }
@@ -832,7 +914,7 @@ mod tests {
                 .map(|(&(src, dst), &count)| GroupSpec { src, dst, count })
                 .collect();
             let want = waterfill_groups(&specs, &up, &down);
-            for &g in &live {
+            for g in (0..pairs.len()).filter(|&g| counts[g] > 0) {
                 assert!(
                     rates[g].to_bits() == want[g].to_bits(),
                     "step {step}: group {g} incremental {} != full {}",
@@ -851,18 +933,21 @@ mod tests {
         let up = vec![1.0, 2.0, 3.0, 9.0];
         let down = vec![9.0, 9.0, 9.0, 100.0];
         let mut wf = Waterfiller::new(4);
-        wf.refill(&[0, 1, 2], |g| (g, 3, 1), &up, &down);
+        for g in 0..3 {
+            wf.set_group(g, g, 3, 1);
+        }
+        wf.refill(&up, &down);
         assert_eq!(wf.refilled(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
         assert_eq!(wf.steps.len(), 3);
         (wf, up, down)
     }
 
     /// Refills `wf` after the caller's mutations and checks the result
-    /// against a from-scratch fill; returns the steps the refill kept.
+    /// against a from-scratch fill of groups `g -> 3` carrying `counts[g]`
+    /// flows; returns the steps the refill kept.
     fn replay_and_check(wf: &mut Waterfiller, counts: &[usize], up: &[f64], down: &[f64]) -> u64 {
         let before = wf.stats();
-        let live: Vec<usize> = (0..3).filter(|&g| counts[g] > 0).collect();
-        wf.refill(&live, |g| (g, 3, counts[g]), up, down);
+        wf.refill(up, down);
         let specs: Vec<GroupSpec> = (0..3)
             .map(|g| GroupSpec {
                 src: g,
@@ -888,12 +973,12 @@ mod tests {
         // Zeroing uplink 2 makes it saturate first (level 0).
         let (mut wf, mut up, down) = three_uplink_fill();
         up[2] = 0.0;
-        wf.mark_pair_dirty(2, 2);
+        wf.mark_site_dirty(2);
         assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 0);
         assert_eq!(wf.refilled().len(), 3);
         // And back: the zeroed link's step moves back to the end.
         up[2] = 3.0;
-        wf.mark_pair_dirty(2, 2);
+        wf.mark_site_dirty(2);
         assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 0);
         assert_eq!(wf.refilled(), &[(0, 1.0), (1, 2.0), (2, 3.0)]);
     }
@@ -904,19 +989,19 @@ mod tests {
         // and refreezes one group of three: no silent full fill.
         let (mut wf, mut up, down) = three_uplink_fill();
         up[2] = 4.0;
-        wf.mark_pair_dirty(2, 2);
+        wf.mark_site_dirty(2);
         assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 2);
         assert_eq!(wf.refilled(), &[(2, 4.0)]);
         // A second flow on group 1 halves its level to 1, tying uplink 0:
         // the tie breaks on the link index, so step 0 still recurs.
-        wf.mark_pair_dirty(1, 3);
+        wf.set_group(1, 1, 3, 2);
         assert_eq!(replay_and_check(&mut wf, &[1, 2, 1], &up, &down), 1);
         assert_eq!(wf.refilled(), &[(1, 1.0), (2, 4.0)]);
         // Group 1 dies and revives.
-        wf.mark_pair_dirty(1, 3);
+        wf.set_group(1, 1, 3, 0);
         assert_eq!(replay_and_check(&mut wf, &[1, 0, 1], &up, &down), 1);
         assert_eq!(wf.refilled(), &[(2, 4.0)]);
-        wf.mark_pair_dirty(1, 3);
+        wf.set_group(1, 1, 3, 1);
         assert_eq!(replay_and_check(&mut wf, &[1, 1, 1], &up, &down), 1);
         assert_eq!(wf.refilled(), &[(1, 2.0), (2, 4.0)]);
     }
@@ -946,9 +1031,11 @@ mod tests {
         let mut up = vec![1.0, 5.0, 9.0];
         let mut down = vec![9.0, 9.0, 4.0];
         let mut wf = Waterfiller::new(3);
+        wf.set_group(0, 0, 2, 1);
+        wf.set_group(1, 1, 2, 1);
         let mut rates = [0.0; 2];
         let mut check = |wf: &mut Waterfiller, up: &[f64], down: &[f64]| {
-            wf.refill(&[0, 1], |g| (g, 2, 1), up, down);
+            wf.refill(up, down);
             for &(g, r) in wf.refilled() {
                 rates[g] = r;
             }
@@ -974,7 +1061,7 @@ mod tests {
         // downlink 2 from that entry. A stale entry would hand group 1 the
         // rate 2.5 instead of 4.5.
         up[0] = 1.5;
-        wf.mark_pair_dirty(0, 0);
+        wf.mark_site_dirty(0);
         check(&mut wf, &up, &down);
         assert_eq!(rates, [1.5, 4.5]);
     }

@@ -394,8 +394,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// 1000-site churn: a persistent [`Waterfiller`] fed a *sparse* live
-    /// pair set (the regime the sorted sparse pair index exists for) under
-    /// count mutations and capacity-independent dirty marking must match
+    /// pair set (the regime the sorted sparse pair index exists for) through
+    /// `set_group` count mutations, with fixed capacities, must match
     /// the from-scratch [`waterfill_groups`] fill bit for bit at every
     /// step. Guards the O(live pairs) group state against scale: dense
     /// n²-pair scratch would OOM or crawl at this site count long before
@@ -430,9 +430,8 @@ proptest! {
                 _ => counts[g] += 1,
             }
             let (s, d) = pairs[g];
-            wf.mark_pair_dirty(s, d);
-            let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
-            wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
+            wf.set_group(g, s, d, counts[g]);
+            wf.refill(&up, &down);
             for &(g, r) in wf.refilled() {
                 rates[g] = r;
             }
@@ -442,7 +441,7 @@ proptest! {
                 .map(|(&(src, dst), &count)| GroupSpec { src, dst, count })
                 .collect();
             let want = waterfill_groups(&specs, &up, &down);
-            for &g in &live {
+            for g in (0..pairs.len()).filter(|&g| counts[g] > 0) {
                 prop_assert!(
                     rates[g].to_bits() == want[g].to_bits(),
                     "step {}: group {} incremental {} != full {}",
@@ -492,29 +491,28 @@ proptest! {
                     1 => counts[g] = counts[g].saturating_sub(1),
                     _ => counts[g] += delta,
                 }
-                wf.mark_pair_dirty(pairs[g].0, pairs[g].1);
+                wf.set_group(g, pairs[g].0, pairs[g].1, counts[g]);
             }
             let s = site % n;
             match cap_op {
                 0 => {
                     up[s] = 0.0;
                     down[s] = 0.0;
-                    wf.mark_pair_dirty(s, s);
+                    wf.mark_site_dirty(s);
                 }
                 1 => {
                     up[s] = saved.0[s];
                     down[s] = saved.1[s];
-                    wf.mark_pair_dirty(s, s);
+                    wf.mark_site_dirty(s);
                 }
                 2 => {
                     up[s] = cap as f64 * 0.05;
-                    wf.mark_pair_dirty(s, s);
+                    wf.mark_site_dirty(s);
                 }
                 3 if step % 5 == 4 => wf.mark_all_dirty(),
                 _ => {}
             }
-            let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
-            wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
+            wf.refill(&up, &down);
             for &(g, r) in wf.refilled() {
                 rates[g] = r;
             }
@@ -524,7 +522,7 @@ proptest! {
                 .map(|(&(src, dst), &count)| GroupSpec { src, dst, count })
                 .collect();
             let want = waterfill_groups(&specs, &up, &down);
-            for &g in &live {
+            for g in (0..pairs.len()).filter(|&g| counts[g] > 0) {
                 prop_assert!(
                     rates[g].to_bits() == want[g].to_bits(),
                     "step {}: group {} replayed {} != full {}",
