@@ -258,28 +258,8 @@ impl TetriumScheduler {
                     tasks_from[x] += 1;
                     input_gb[x] += t.input_gb;
                 }
-                let budget = if self.cfg.wan.is_unbounded() {
-                    None
-                } else {
-                    // W_min = 0 for map stages (§4.3). The budget covers the
-                    // whole stage, so bytes already moved by launched tasks
-                    // are charged against it — otherwise every re-planning
-                    // instance would grant a fresh rho-fraction of the
-                    // remaining data and the stage would overspend.
-                    let full_total: f64 = st.tasks.iter().map(|t| t.input_gb).sum();
-                    let moved: f64 = st
-                        .tasks
-                        .iter()
-                        .filter(|t| {
-                            t.phase != TaskPhase::Unlaunched
-                                && t.running_site.is_some()
-                                && t.running_site != t.input_site
-                        })
-                        .map(|t| t.input_gb)
-                        .sum();
-                    let w = wan_budget(self.cfg.wan, 0.0, full_total);
-                    Some((w - moved).max(0.0))
-                };
+                let budget = (!self.cfg.wan.is_unbounded())
+                    .then(|| remaining_wan_budget(self.cfg.wan, st, 0.0));
                 let problem = MapProblem {
                     input_gb: input_gb.clone(),
                     tasks_from: tasks_from.clone(),
@@ -404,26 +384,10 @@ impl TetriumScheduler {
                 let share_rem: f64 = unl.iter().map(|&i| st.tasks[i].share).sum();
                 let shuffle_gb: Vec<f64> = st.input_gb.iter().map(|v| v * share_rem).collect();
                 let total: f64 = shuffle_gb.iter().sum();
-                let budget = if self.cfg.wan.is_unbounded() {
-                    None
-                } else {
-                    // Whole-stage budget minus what launched tasks already
-                    // shuffled, floored at the minimum feasible volume for
-                    // the remaining tasks (see the map branch).
-                    let full_total: f64 = st.input_gb.iter().sum();
-                    let full_min = reduce_min_wan(&st.input_gb);
-                    let moved: f64 = st
-                        .tasks
-                        .iter()
-                        .filter(|t| t.phase != TaskPhase::Unlaunched)
-                        .filter_map(|t| {
-                            t.running_site
-                                .map(|site| t.share * (full_total - st.input_gb[site.index()]))
-                        })
-                        .sum();
-                    let w = wan_budget(self.cfg.wan, full_min, full_total);
-                    Some((w - moved).max(reduce_min_wan(&shuffle_gb)))
-                };
+                // Floored at the minimum feasible volume for the remaining
+                // tasks.
+                let budget = (!self.cfg.wan.is_unbounded())
+                    .then(|| remaining_wan_budget(self.cfg.wan, st, reduce_min_wan(&shuffle_gb)));
                 let problem = ReduceProblem {
                     shuffle_gb: shuffle_gb.clone(),
                     num_tasks: unl.len(),
@@ -568,18 +532,6 @@ impl TetriumScheduler {
         const EPS: f64 = 1e-9;
         match st.kind {
             StageKind::Map => {
-                let full_total: f64 = st.tasks.iter().map(|t| t.input_gb).sum();
-                let moved: f64 = st
-                    .tasks
-                    .iter()
-                    .filter(|t| {
-                        t.phase != TaskPhase::Unlaunched
-                            && t.running_site.is_some()
-                            && t.running_site != t.input_site
-                    })
-                    .map(|t| t.input_gb)
-                    .sum();
-                let w = wan_budget(self.cfg.wan, 0.0, full_total);
                 let pending_remote: f64 = c
                     .ordered
                     .iter()
@@ -589,21 +541,10 @@ impl TetriumScheduler {
                     })
                     .map(|(t, _)| t.input_gb)
                     .sum();
-                pending_remote <= (w - moved).max(0.0) + EPS
+                pending_remote <= remaining_wan_budget(self.cfg.wan, st, 0.0) + EPS
             }
             StageKind::Reduce => {
                 let full_total: f64 = st.input_gb.iter().sum();
-                let full_min = reduce_min_wan(&st.input_gb);
-                let moved: f64 = st
-                    .tasks
-                    .iter()
-                    .filter(|t| t.phase != TaskPhase::Unlaunched)
-                    .filter_map(|t| {
-                        t.running_site
-                            .map(|site| t.share * (full_total - st.input_gb[site.index()]))
-                    })
-                    .sum();
-                let w = wan_budget(self.cfg.wan, full_min, full_total);
                 let share_rem: f64 = st
                     .tasks
                     .iter()
@@ -618,7 +559,8 @@ impl TetriumScheduler {
                     .filter(|(t, _)| t.phase == TaskPhase::Unlaunched)
                     .map(|(t, site)| t.share * (full_total - st.input_gb[site.index()]))
                     .sum();
-                pending <= (w - moved).max(reduce_min_wan(&shuffle_rem)) + EPS
+                pending
+                    <= remaining_wan_budget(self.cfg.wan, st, reduce_min_wan(&shuffle_rem)) + EPS
             }
         }
     }
@@ -698,6 +640,46 @@ fn plan_stage_local(st: &StageSnapshot, n: usize) -> Outcome {
 }
 
 /// Whether any unfinished stage consumes `stage_index`'s output.
+/// What is left of stage `st`'s WAN budget, floored at `floor_gb`. The
+/// budget covers the whole stage (§4.3; `W_min` is 0 for map stages and the
+/// minimum feasible shuffle for reduce stages), so bytes already moved by
+/// launched tasks are charged against it — otherwise every re-planning
+/// instance would grant a fresh ρ-fraction of the remaining data and the
+/// stage would overspend.
+fn remaining_wan_budget(knob: WanKnob, st: &StageSnapshot, floor_gb: f64) -> f64 {
+    let (w, moved) = match st.kind {
+        StageKind::Map => {
+            let full_total: f64 = st.tasks.iter().map(|t| t.input_gb).sum();
+            let moved: f64 = st
+                .tasks
+                .iter()
+                .filter(|t| {
+                    t.phase != TaskPhase::Unlaunched
+                        && t.running_site.is_some()
+                        && t.running_site != t.input_site
+                })
+                .map(|t| t.input_gb)
+                .sum();
+            (wan_budget(knob, 0.0, full_total), moved)
+        }
+        StageKind::Reduce => {
+            let full_total: f64 = st.input_gb.iter().sum();
+            let moved: f64 = st
+                .tasks
+                .iter()
+                .filter(|t| t.phase != TaskPhase::Unlaunched)
+                .filter_map(|t| {
+                    t.running_site
+                        .map(|site| t.share * (full_total - st.input_gb[site.index()]))
+                })
+                .sum();
+            let full_min = reduce_min_wan(&st.input_gb);
+            (wan_budget(knob, full_min, full_total), moved)
+        }
+    };
+    (w - moved).max(floor_gb)
+}
+
 fn has_consumer(job: &JobSnapshot, stage_index: usize) -> bool {
     job.stages
         .iter()

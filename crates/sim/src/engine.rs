@@ -1,12 +1,12 @@
 //! The discrete-event engine: event loop, task launching, dispatch.
 
-use crate::config::{BatchPolicy, EngineConfig, SpeculationConfig};
+use crate::config::{BatchPolicy, EngineConfig};
 use crate::event::{Event, EventQueue};
 use crate::report::{JobOutcome, RunReport, TaskTrace};
 use crate::sched::{
     JobSnapshot, Scheduler, SiteState, Snapshot, StageSnapshot, TaskPhase, TaskSnapshot,
 };
-use crate::state::{build_tasks, CopyRt, JobRt, StageRt, StageStatus, TaskState};
+use crate::state::{build_tasks, Attempt, JobRt, StageRt, StageStatus, TaskState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
@@ -102,28 +102,10 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// What a WAN flow feeds: an original task's fetch or a speculative copy's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlowOwner {
-    Task(usize, usize, usize),
-    Copy(usize, usize, usize, u64),
-}
-
-/// Timeline of the attempt (original or speculative copy) that completed a
-/// task, recorded into the trace by [`Engine::finish_task`].
-#[derive(Debug, Clone, Copy)]
-struct TaskCompletion {
-    /// Site the winning attempt ran at.
-    site: SiteId,
-    /// When the winning attempt occupied its slot.
-    launched_at: f64,
-    /// When the winning attempt began computing.
-    compute_started: f64,
-    /// The attempt's sampled compute seconds (feeds adaptive batching).
-    secs: f64,
-    /// Whether a speculative copy, rather than the original, won.
-    was_copy: bool,
-}
+/// What a WAN flow feeds: the attempt of task `(job, stage, task)` whose
+/// input it carries, the last field telling a speculative copy from the
+/// original.
+type FlowOwner = (usize, usize, usize, bool);
 
 /// The execution engine. Construct with a cluster, a workload and a
 /// scheduler; call [`Engine::run`] to simulate to completion.
@@ -142,8 +124,10 @@ pub struct Engine {
     /// keys are dense slab indices, so a vector beats a hash map on the
     /// per-flow-event path).
     flow_owner: Vec<Option<FlowOwner>>,
-    copies: BTreeMap<(usize, usize, usize), CopyRt>,
-    next_copy_id: u64,
+    /// Live speculative copies. An original attempt lives inline in its
+    /// task's [`TaskState::Running`].
+    copies: BTreeMap<(usize, usize, usize), Attempt>,
+    next_attempt_id: u64,
     scheduler: Box<dyn Scheduler>,
     cfg: EngineConfig,
     rng: StdRng,
@@ -237,7 +221,7 @@ impl Engine {
             job_index,
             flow_owner: Vec::new(),
             copies: BTreeMap::new(),
-            next_copy_id: 0,
+            next_attempt_id: 0,
             scheduler,
             cfg,
             rng: StdRng::seed_from_u64(seed),
@@ -479,8 +463,7 @@ impl Engine {
                 self.activate_stages(i);
                 self.request_sched(true, Trigger::JobArrival);
             }
-            Event::ComputeDone(j, s, t) => self.on_compute_done(j, s, t),
-            Event::CopyComputeDone(j, s, t, id) => self.on_copy_compute_done(j, s, t, id),
+            Event::ComputeDone(j, s, t, id, copy) => self.on_compute_done(j, s, t, id, copy),
             Event::SchedulingPoint => {
                 let trigger = self.pending_trigger;
                 self.sched_pending = false;
@@ -531,7 +514,7 @@ impl Engine {
 
     /// Fails every attempt running at `site` (a full outage): originals
     /// re-enter the scheduling pool through the bounded retry path, and
-    /// speculative copies are torn down with their WAN refunds.
+    /// speculative copies are cancelled.
     fn fail_attempts_at(&mut self, site: SiteId) {
         for j in 0..self.jobs.len() {
             for s in 0..self.jobs[j].stages.len() {
@@ -540,21 +523,16 @@ impl Engine {
                 }
                 for t in 0..self.jobs[j].stages[s].tasks.len() {
                     let task = &self.jobs[j].stages[s].tasks[t];
-                    let running_here = task.run_site == Some(site)
-                        && matches!(
-                            task.state,
-                            TaskState::Fetching { .. } | TaskState::Computing { .. }
-                        );
-                    if running_here {
+                    if matches!(&task.state, TaskState::Running(a) if a.site == site) {
                         self.obs.dynamics_retry();
-                        self.fail_attempt(j, s, t, site);
+                        self.end_attempt(j, s, t, false, TaskPhaseEvent::Failed);
                     }
                 }
             }
         }
-        // Copies at the dead site are torn down too. `copies` is a BTreeMap,
-        // so iteration is already in key order and no compensating sort is
-        // needed before the order-dependent teardown effects.
+        // `copies` is a BTreeMap, so iteration is already in key order and
+        // no compensating sort is needed before the order-dependent
+        // teardown effects.
         let doomed: Vec<(usize, usize, usize)> = self
             .copies
             .iter()
@@ -562,53 +540,79 @@ impl Engine {
             .map(|(&k, _)| k)
             .collect();
         for (j, s, t) in doomed {
-            self.cancel_copy(j, s, t);
+            self.end_attempt(j, s, t, true, TaskPhaseEvent::Cancelled);
         }
     }
 
-    /// Fails one original attempt of task `(j, s, t)` running at `site`:
-    /// refunds WAN charged for fetches that will never complete (the unsent
-    /// remainder of in-flight flows plus fetches still queued behind the
-    /// concurrency cap, both charged in full at launch), releases the slot,
-    /// and returns the task to the pool for re-placement. Arms
-    /// [`SimError::RetriesExhausted`] once the attempt budget is spent.
-    fn fail_attempt(&mut self, j: usize, s: usize, t: usize, site: SiteId) {
-        // Fetch teardown first: a computing attempt has none, so for the
-        // classic failure-injection path this is a no-op.
-        let (pending, queued) = match &mut self.jobs[j].stages[s].tasks[t].state {
-            TaskState::Fetching { pending, queued } => {
-                (std::mem::take(pending), std::mem::take(queued))
+    /// The live attempt of task `(j, s, t)`: its speculative copy when
+    /// `copy`, else the original.
+    fn attempt_mut(&mut self, j: usize, s: usize, t: usize, copy: bool) -> Option<&mut Attempt> {
+        if copy {
+            return self.copies.get_mut(&(j, s, t));
+        }
+        let task = &mut self.jobs[j].stages[s].tasks[t];
+        match &mut task.state {
+            TaskState::Running(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Removes the live attempt of task `(j, s, t)` (see
+    /// [`Engine::attempt_mut`]); an original's task becomes unlaunched.
+    fn take_attempt(&mut self, j: usize, s: usize, t: usize, copy: bool) -> Option<Attempt> {
+        if copy {
+            return self.copies.remove(&(j, s, t));
+        }
+        let task = &mut self.jobs[j].stages[s].tasks[t];
+        match std::mem::replace(&mut task.state, TaskState::Unlaunched) {
+            TaskState::Running(a) => Some(a),
+            other => {
+                task.state = other;
+                None
             }
-            _ => (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// Ends the live attempt of task `(j, s, t)` (the copy when `copy`)
+    /// without completing the task, as `end` — `Failed` or `Cancelled`. It
+    /// refunds the WAN the attempt was charged at launch but will never
+    /// move: the unsent remainder of its in-flight flows and its queued
+    /// fetches in full. It then releases the slot. A failed original
+    /// returns its task to the pool for re-placement and arms
+    /// [`SimError::RetriesExhausted`] once the attempt budget is spent.
+    /// No-op without such an attempt; the ended attempt's pending
+    /// compute-done event turns stale.
+    fn end_attempt(&mut self, j: usize, s: usize, t: usize, copy: bool, end: TaskPhaseEvent) {
+        let Some(attempt) = self.take_attempt(j, s, t, copy) else {
+            return;
         };
-        for key in pending {
+        for key in attempt.pending {
             let unsent = self.flows.remove_flow(key);
             self.take_flow_owner(key);
             self.jobs[j].wan_gb -= unsent;
         }
-        for (_, gb) in queued {
+        for (_, gb) in attempt.queued {
             self.jobs[j].wan_gb -= gb;
         }
-        self.vacate_slot(site);
-        self.task_failures += 1;
-        self.obs.task_failure();
-        self.obs
-            .task_event(self.now, j, s, t, false, TaskPhaseEvent::Failed, site);
-        let task = &mut self.jobs[j].stages[s].tasks[t];
-        task.state = TaskState::Unlaunched;
-        task.run_site = None;
-        task.actual_secs = None;
-        task.compute_started = None;
-        task.launched_at = None;
-        task.retries += 1;
-        if task.retries > self.cfg.max_task_retries && self.fatal.is_none() {
-            self.fatal = Some(SimError::RetriesExhausted {
-                job: j,
-                stage: s,
-                task: t,
-                retries: task.retries,
-            });
+        self.vacate_slot(attempt.site);
+        if end == TaskPhaseEvent::Failed {
+            self.task_failures += 1;
+            self.obs.task_failure();
+            let task = &mut self.jobs[j].stages[s].tasks[t];
+            task.retries += 1;
+            if task.retries > self.cfg.max_task_retries && self.fatal.is_none() {
+                self.fatal = Some(SimError::RetriesExhausted {
+                    job: j,
+                    stage: s,
+                    task: t,
+                    retries: task.retries,
+                });
+            }
+        } else {
+            self.obs.attempt_cancelled();
         }
+        self.obs
+            .task_event(self.now, j, s, t, copy, end, attempt.site);
     }
 
     /// Activates every stage of job `j` whose parents are done: realizes its
@@ -635,132 +639,102 @@ impl Engine {
         }
     }
 
+    /// A flow finished: its attempt opens its next queued fetch, or begins
+    /// computing once no input is left in flight.
     fn on_flow_done(&mut self, key: FlowKey) {
         self.flows.remove_flow(key);
         let Some(owner) = self.take_flow_owner(key) else {
             return;
         };
-        let (j, s, t) = match owner {
-            FlowOwner::Task(j, s, t) => (j, s, t),
-            FlowOwner::Copy(j, s, t, id) => {
-                self.on_copy_flow_done(j, s, t, id, key);
-                return;
-            }
+        let (j, s, t, copy) = owner;
+        // Every teardown removes its attempt's flows with their owners, so
+        // the owner of a finishing flow is a live attempt.
+        let Some(attempt) = self.attempt_mut(j, s, t, copy) else {
+            return;
         };
-        let (open_next, site) = {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            let TaskState::Fetching { pending, queued } = &mut task.state else {
-                unreachable!("flow completion for a non-fetching task");
-            };
-            pending.retain(|k| *k != key);
-            (
-                queued.pop(),
-                task.run_site.expect("fetching task has a site"),
-            )
-        };
-        if let Some((src, gb)) = open_next {
+        attempt.pending.retain(|k| *k != key);
+        let site = attempt.site;
+        if let Some((src, gb)) = attempt.queued.pop() {
             let flow = self.flows.add_flow(src, site, gb);
-            self.set_flow_owner(flow, FlowOwner::Task(j, s, t));
-            if let TaskState::Fetching { pending, .. } = &mut self.jobs[j].stages[s].tasks[t].state
-            {
-                pending.push(flow);
+            self.set_flow_owner(flow, owner);
+            if let Some(attempt) = self.attempt_mut(j, s, t, copy) {
+                attempt.pending.push(flow);
             }
-        }
-        let done = matches!(
-            &self.jobs[j].stages[s].tasks[t].state,
-            TaskState::Fetching { pending, queued } if pending.is_empty() && queued.is_empty()
-        );
-        if done {
-            self.begin_compute(j, s, t);
+        } else if attempt.pending.is_empty() {
+            self.begin_compute(j, s, t, copy);
         }
     }
 
-    /// Transitions a task whose inputs are local/arrived into its compute
-    /// phase.
-    fn begin_compute(&mut self, j: usize, s: usize, t: usize) {
-        let secs = self.jobs[j].stages[s].tasks[t]
-            .actual_secs
-            .expect("duration sampled at launch");
-        let done_at = self.now + secs;
-        let task = &mut self.jobs[j].stages[s].tasks[t];
-        task.state = TaskState::Computing { done_at };
-        task.compute_started = Some(self.now);
-        let site = task.run_site.expect("computing task has a site");
-        self.obs
-            .task_event(self.now, j, s, t, false, TaskPhaseEvent::Computing, site);
-        self.events.push(done_at, Event::ComputeDone(j, s, t));
-    }
-
-    fn on_compute_done(&mut self, j: usize, s: usize, t: usize) {
-        let (site, secs, launched_at, compute_started) = {
-            let task = &self.jobs[j].stages[s].tasks[t];
-            let TaskState::Computing { done_at } = task.state else {
-                // A speculative copy already finished this task, or the
-                // attempt was lost to a failure or an outage.
-                return;
-            };
-            if done_at != self.now {
-                // Stale event: the attempt that pushed it was failed by an
-                // outage and the task relaunched; the live attempt enqueued
-                // its own completion. (Exact float equality holds — the
-                // event carries the same bits `done_at` was set to.)
-                return;
-            }
-            (
-                task.run_site.expect("running task has a site"),
-                task.actual_secs.unwrap_or(0.0),
-                task.launched_at.unwrap_or(self.now),
-                task.compute_started.unwrap_or(self.now),
-            )
+    /// Moves an attempt whose inputs are local or have arrived into its
+    /// compute phase.
+    fn begin_compute(&mut self, j: usize, s: usize, t: usize, copy: bool) {
+        let now = self.now;
+        let Some(attempt) = self.attempt_mut(j, s, t, copy) else {
+            return;
         };
-        // Fail-over injection (§6.1 trace): the attempt is lost and the task
-        // returns to the pool for re-placement. A live speculative copy, if
-        // any, keeps running and may still complete the task.
-        if self.cfg.failure_prob > 0.0 && self.rng.gen::<f64>() < self.cfg.failure_prob {
-            self.fail_attempt(j, s, t, site);
+        attempt.compute_started = Some(now);
+        let (id, site, done_at) = (attempt.id, attempt.site, now + attempt.secs);
+        self.obs
+            .task_event(now, j, s, t, copy, TaskPhaseEvent::Computing, site);
+        self.events
+            .push(done_at, Event::ComputeDone(j, s, t, id, copy));
+    }
+
+    /// An attempt finished computing. The event is stale, and ignored, when
+    /// its attempt has ended since: the other attempt won, or a failure or
+    /// an outage took it. Failure injection (§6.1 trace) draws only for
+    /// originals: the attempt is lost and the task returns to the pool,
+    /// while a live copy keeps running and may still complete it. Otherwise
+    /// the attempt wins, and the other attempt, if live, is cancelled.
+    fn on_compute_done(&mut self, j: usize, s: usize, t: usize, id: u64, copy: bool) {
+        if self.attempt_mut(j, s, t, copy).is_none_or(|a| a.id != id) {
+            return;
+        }
+        if !copy && self.cfg.failure_prob > 0.0 && self.rng.gen::<f64>() < self.cfg.failure_prob {
+            self.end_attempt(j, s, t, false, TaskPhaseEvent::Failed);
             self.request_sched(true, Trigger::Failure);
             return;
         }
-        self.jobs[j].stages[s].tasks[t].state = TaskState::Done;
-        self.vacate_slot(site);
-        self.cancel_copy(j, s, t);
-        self.finish_task(
-            j,
-            s,
-            t,
-            TaskCompletion {
-                site,
-                launched_at,
-                compute_started,
-                secs,
-                was_copy: false,
-            },
-        );
+        let Some(winner) = self.take_attempt(j, s, t, copy) else {
+            return;
+        };
+        // The winner's slot is released before the loser's teardown. Both
+        // releases land in the same instant, where one site's slot samples
+        // coalesce, so their order leaves no trace in the obs record.
+        self.vacate_slot(winner.site);
+        self.end_attempt(j, s, t, !copy, TaskPhaseEvent::Cancelled);
+        if copy {
+            self.copies_won += 1;
+            self.obs.copy_won();
+        }
+        self.finish_task(j, s, t, copy, winner);
     }
 
-    /// Shared completion accounting for originals and winning copies:
-    /// materializes the task's output at the attempt's site, advances
-    /// stage/job state and requests scheduling. `done` carries the winning
-    /// attempt's own timeline — a winning copy reports when *it* occupied a
-    /// slot and started computing, not the original's times, so the trace
-    /// never shows a negative fetch phase.
-    fn finish_task(&mut self, j: usize, s: usize, t: usize, done: TaskCompletion) {
-        let site = done.site;
+    /// Completion accounting for the winning attempt: records the task done
+    /// at the attempt's site, materializes its output there, advances
+    /// stage/job state and requests scheduling. The trace carries the
+    /// winner's own timeline — a winning copy reports when *it* occupied a
+    /// slot and started computing, so the trace never shows a negative
+    /// fetch phase.
+    fn finish_task(&mut self, j: usize, s: usize, t: usize, copy: bool, winner: Attempt) {
+        let site = winner.site;
+        let task = &mut self.jobs[j].stages[s].tasks[t];
+        task.state = TaskState::Done(site);
         self.obs
-            .task_event(self.now, j, s, t, done.was_copy, TaskPhaseEvent::Done, site);
+            .task_event(self.now, j, s, t, copy, TaskPhaseEvent::Done, site);
         if self.cfg.record_trace {
             self.trace.push(TaskTrace {
                 job: self.jobs[j].job.id,
                 stage: s,
                 task: t,
                 site,
-                launched_at: done.launched_at,
-                compute_started: done.compute_started,
+                launched_at: winner.launched_at,
+                compute_started: winner.compute_started.unwrap_or(self.now),
                 finished_at: self.now,
-                was_copy: done.was_copy,
+                was_copy: copy,
             });
         }
-        self.recent_secs.push_back(done.secs);
+        self.recent_secs.push_back(winner.secs);
         if self.recent_secs.len() > 64 {
             self.recent_secs.pop_front();
         }
@@ -962,7 +936,7 @@ impl Engine {
             list.clear();
             list.extend(per_site[site].drain(..take));
             for &(_, j, s, t) in &list {
-                self.launch(j, s, t, SiteId(site));
+                self.start_attempt(j, s, t, SiteId(site), false);
                 launched += 1;
             }
         }
@@ -972,54 +946,60 @@ impl Engine {
         launched
     }
 
-    /// Launches one task at `site`: samples its actual duration, starts its
-    /// input flows (map: one source partition; reduce: a fetch from every
-    /// site holding shuffle data) and begins compute immediately when all
-    /// inputs are local.
-    fn launch(&mut self, j: usize, s: usize, t: usize, site: SiteId) {
+    /// Starts an attempt of task `(j, s, t)` at `site`: the original when
+    /// dispatch launches the task, a speculative copy when `copy`. The
+    /// attempt takes a slot and samples its duration. Its remote fetches
+    /// (map: the home partition; reduce: a share from every site holding
+    /// shuffle data) are charged to the job in full; at most
+    /// `max_fetch_concurrency` open at once and the rest queue behind them.
+    /// With every input local it begins compute at once. All flows of a
+    /// same-instant launch burst (an n-source shuffle fan-out, or many
+    /// tasks dispatched at one scheduling point) enter the simulator before
+    /// the next completion query, so the whole burst costs one rate refresh.
+    fn start_attempt(&mut self, j: usize, s: usize, t: usize, site: SiteId, copy: bool) {
         self.occupy_slot(site);
         self.obs
-            .task_event(self.now, j, s, t, false, TaskPhaseEvent::Fetching, site);
+            .task_event(self.now, j, s, t, copy, TaskPhaseEvent::Fetching, site);
+        if copy {
+            self.obs.copy_launched();
+            self.copies_launched += 1;
+        }
         let kind = self.jobs[j].job.stages[s].kind;
         let mean = self.jobs[j].job.stages[s].task_secs;
-        let secs = self.sample_duration(mean);
-        {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            task.run_site = Some(site);
-            task.actual_secs = Some(secs);
-            task.launched_at = Some(self.now);
-        }
-
-        // Collect this task's remote fetches, then open at most
-        // `max_fetch_concurrency` immediately; the rest queue behind them.
-        // All flows of a same-instant launch burst (an n-source shuffle
-        // fan-out, or many tasks dispatched at one scheduling point) enter
-        // the simulator before the next completion query, so the whole
-        // burst costs one rate refresh.
+        let mut attempt = Attempt {
+            id: self.next_attempt_id,
+            site,
+            secs: self.sample_duration(mean),
+            launched_at: self.now,
+            compute_started: None,
+            pending: Vec::new(),
+            queued: Vec::new(),
+        };
+        self.next_attempt_id += 1;
         let mut fetches = std::mem::take(&mut self.fetch_scratch);
         self.collect_fetches(j, s, t, kind, site, &mut fetches);
-        if fetches.is_empty() {
-            self.fetch_scratch = fetches;
-            self.begin_compute(j, s, t);
-            return;
-        }
-        for &(_, gb) in &fetches {
-            self.jobs[j].wan_gb += gb;
-        }
         let cap = self.cfg.max_fetch_concurrency.max(1);
-        let mut pending = Vec::new();
-        let mut queued = Vec::new();
         for (i, &(src, gb)) in fetches.iter().enumerate() {
+            self.jobs[j].wan_gb += gb;
             if i < cap {
                 let key = self.flows.add_flow(src, site, gb);
-                self.set_flow_owner(key, FlowOwner::Task(j, s, t));
-                pending.push(key);
+                self.set_flow_owner(key, (j, s, t, copy));
+                attempt.pending.push(key);
             } else {
-                queued.push((src, gb));
+                attempt.queued.push((src, gb));
             }
         }
         self.fetch_scratch = fetches;
-        self.jobs[j].stages[s].tasks[t].state = TaskState::Fetching { pending, queued };
+        let local = attempt.pending.is_empty();
+        if copy {
+            self.copies.insert((j, s, t), attempt);
+        } else {
+            let task = &mut self.jobs[j].stages[s].tasks[t];
+            task.state = TaskState::Running(attempt);
+        }
+        if local {
+            self.begin_compute(j, s, t, copy);
+        }
     }
 
     /// Fills `fetches` with the remote inputs an attempt of task `(j, s, t)`
@@ -1106,10 +1086,12 @@ impl Engine {
                     if budget == 0 {
                         break;
                     }
-                    let straggling = matches!(task.state, TaskState::Computing { .. })
-                        && task.compute_started.is_some_and(|start| {
-                            self.now - start > spec.threshold * st.est_task_secs
-                        })
+                    let computing_since = match &task.state {
+                        TaskState::Running(a) => a.compute_started,
+                        _ => None,
+                    };
+                    let straggling = computing_since
+                        .is_some_and(|start| self.now - start > spec.threshold * st.est_task_secs)
                         && !self.copies.contains_key(&(j, si, t));
                     if straggling {
                         candidates.push((j, si, t));
@@ -1126,203 +1108,8 @@ impl Engine {
             else {
                 return;
             };
-            self.launch_copy(j, si, t, SiteId(site), spec);
+            self.start_attempt(j, si, t, SiteId(site), true);
         }
-    }
-
-    fn launch_copy(
-        &mut self,
-        j: usize,
-        s: usize,
-        t: usize,
-        site: SiteId,
-        _spec: SpeculationConfig,
-    ) {
-        self.occupy_slot(site);
-        self.obs
-            .task_event(self.now, j, s, t, true, TaskPhaseEvent::Fetching, site);
-        self.obs.copy_launched();
-        let id = self.next_copy_id;
-        self.next_copy_id += 1;
-        let mean = self.jobs[j].job.stages[s].task_secs;
-        let secs = self.sample_duration(mean);
-        let kind = self.jobs[j].job.stages[s].kind;
-        let mut fetches = std::mem::take(&mut self.fetch_scratch);
-        self.collect_fetches(j, s, t, kind, site, &mut fetches);
-        for &(_, gb) in &fetches {
-            self.jobs[j].wan_gb += gb;
-        }
-        let cap = self.cfg.max_fetch_concurrency.max(1);
-        let mut pending = Vec::new();
-        let mut queued = Vec::new();
-        for (i, &(src, gb)) in fetches.iter().enumerate() {
-            if i < cap {
-                let key = self.flows.add_flow(src, site, gb);
-                self.set_flow_owner(key, FlowOwner::Copy(j, s, t, id));
-                pending.push(key);
-            } else {
-                queued.push((src, gb));
-            }
-        }
-        self.fetch_scratch = fetches;
-        self.copies_launched += 1;
-        let computing = pending.is_empty();
-        if computing {
-            self.obs
-                .task_event(self.now, j, s, t, true, TaskPhaseEvent::Computing, site);
-            self.events
-                .push(self.now + secs, Event::CopyComputeDone(j, s, t, id));
-        }
-        self.copies.insert(
-            (j, s, t),
-            CopyRt {
-                id,
-                site,
-                pending,
-                queued,
-                computing,
-                secs,
-                launched_at: self.now,
-                compute_started: if computing { Some(self.now) } else { None },
-            },
-        );
-    }
-
-    fn on_copy_flow_done(&mut self, j: usize, s: usize, t: usize, id: u64, key: FlowKey) {
-        let Some(copy) = self.copies.get_mut(&(j, s, t)) else {
-            return; // Copy was cancelled; the flow was already torn down.
-        };
-        if copy.id != id {
-            return;
-        }
-        copy.pending.retain(|k| *k != key);
-        let site = copy.site;
-        if let Some((src, gb)) = copy.queued.pop() {
-            let flow = self.flows.add_flow(src, site, gb);
-            self.set_flow_owner(flow, FlowOwner::Copy(j, s, t, id));
-            if let Some(copy) = self.copies.get_mut(&(j, s, t)) {
-                copy.pending.push(flow);
-            }
-            return;
-        }
-        let copy = self.copies.get_mut(&(j, s, t)).expect("copy checked above");
-        if copy.pending.is_empty() && !copy.computing {
-            copy.computing = true;
-            copy.compute_started = Some(self.now);
-            let secs = copy.secs;
-            self.obs
-                .task_event(self.now, j, s, t, true, TaskPhaseEvent::Computing, site);
-            self.events
-                .push(self.now + secs, Event::CopyComputeDone(j, s, t, id));
-        }
-    }
-
-    fn on_copy_compute_done(&mut self, j: usize, s: usize, t: usize, id: u64) {
-        let Some(copy) = self.copies.get(&(j, s, t)) else {
-            return; // Cancelled before finishing.
-        };
-        if copy.id != id {
-            return;
-        }
-        let copy_site = copy.site;
-        let copy_secs = copy.secs;
-        let copy_launched_at = copy.launched_at;
-        let copy_compute_started = copy.compute_started.unwrap_or(self.now);
-        // The copy won: tear down the original (if it is still occupying a
-        // slot — a failure injection may have returned it to the pool) and
-        // complete the task here.
-        let (orig_site, orig_flows, orig_queued) = {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            if task.state == TaskState::Done {
-                // The original finished in the same instant; it won.
-                self.copies.remove(&(j, s, t));
-                self.vacate_slot(copy_site);
-                self.obs.attempt_cancelled();
-                self.obs.task_event(
-                    self.now,
-                    j,
-                    s,
-                    t,
-                    true,
-                    TaskPhaseEvent::Cancelled,
-                    copy_site,
-                );
-                return;
-            }
-            let (flows, queued) = match &mut task.state {
-                TaskState::Fetching { pending, queued } => {
-                    (std::mem::take(pending), std::mem::take(queued))
-                }
-                _ => (Vec::new(), Vec::new()),
-            };
-            let site = task.run_site;
-            task.state = TaskState::Done;
-            (site, flows, queued)
-        };
-        // Refund WAN the original was charged for but will never move: the
-        // unsent remainder of in-flight fetches AND fetches still queued
-        // behind the concurrency cap (which were charged in full at launch).
-        for key in orig_flows {
-            let unsent = self.flows.remove_flow(key);
-            self.take_flow_owner(key);
-            self.jobs[j].wan_gb -= unsent;
-        }
-        for (_, gb) in orig_queued {
-            self.jobs[j].wan_gb -= gb;
-        }
-        if let Some(site) = orig_site {
-            self.vacate_slot(site);
-            self.obs.attempt_cancelled();
-            self.obs
-                .task_event(self.now, j, s, t, false, TaskPhaseEvent::Cancelled, site);
-        }
-        self.vacate_slot(copy_site);
-        self.copies.remove(&(j, s, t));
-        self.copies_won += 1;
-        self.obs.copy_won();
-        self.finish_task(
-            j,
-            s,
-            t,
-            TaskCompletion {
-                site: copy_site,
-                launched_at: copy_launched_at,
-                compute_started: copy_compute_started,
-                secs: copy_secs,
-                was_copy: true,
-            },
-        );
-    }
-
-    /// Cancels a live copy after the original finished first.
-    fn cancel_copy(&mut self, j: usize, s: usize, t: usize) {
-        let Some(copy) = self.copies.remove(&(j, s, t)) else {
-            return;
-        };
-        // Refund both the unsent remainder of in-flight fetches and fetches
-        // still queued behind the concurrency cap — the copy was charged for
-        // all of them up front at launch.
-        for key in copy.pending {
-            let unsent = self.flows.remove_flow(key);
-            self.take_flow_owner(key);
-            self.jobs[j].wan_gb -= unsent;
-        }
-        for (_, gb) in copy.queued {
-            self.jobs[j].wan_gb -= gb;
-        }
-        self.vacate_slot(copy.site);
-        self.obs.attempt_cancelled();
-        self.obs.task_event(
-            self.now,
-            j,
-            s,
-            t,
-            true,
-            TaskPhaseEvent::Cancelled,
-            copy.site,
-        );
-        // A pending CopyComputeDone event becomes stale: the id check in
-        // `on_copy_compute_done` ignores it.
     }
 
     /// Fills `out` with the current cluster and job state, reusing the
@@ -1402,17 +1189,20 @@ impl Engine {
             .tasks
             .iter()
             .enumerate()
-            .map(|(i, task)| TaskSnapshot {
-                index: i,
-                phase: match task.state {
-                    TaskState::Unlaunched => TaskPhase::Unlaunched,
-                    TaskState::Fetching { .. } | TaskState::Computing { .. } => TaskPhase::Running,
-                    TaskState::Done => TaskPhase::Done,
-                },
-                input_site: task.input_site,
-                input_gb: task.input_gb,
-                share: task.share,
-                running_site: task.run_site,
+            .map(|(i, task)| {
+                let (phase, running_site) = match &task.state {
+                    TaskState::Unlaunched => (TaskPhase::Unlaunched, None),
+                    TaskState::Running(a) => (TaskPhase::Running, Some(a.site)),
+                    TaskState::Done(site) => (TaskPhase::Done, Some(*site)),
+                };
+                TaskSnapshot {
+                    index: i,
+                    phase,
+                    input_site: task.input_site,
+                    input_gb: task.input_gb,
+                    share: task.share,
+                    running_site,
+                }
             })
             .collect();
         StageSnapshot {
@@ -1524,6 +1314,21 @@ impl Engine {
 /// produces byte-identical output to a normal build (just slower).
 #[cfg(feature = "audit")]
 impl Engine {
+    /// Every live attempt: originals in task order, then copies in key
+    /// order.
+    fn attempts(&self) -> impl Iterator<Item = &Attempt> {
+        let originals = self
+            .jobs
+            .iter()
+            .flat_map(|job| &job.stages)
+            .flat_map(|st| &st.tasks)
+            .filter_map(|task| match &task.state {
+                TaskState::Running(a) => Some(a),
+                _ => None,
+            });
+        originals.chain(self.copies.values())
+    }
+
     fn audit_check(&mut self, ctx: &str) {
         // 1. Event-time monotonicity, and the engine/flow clocks agree
         //    bitwise (every event path funnels through `advance_to`).
@@ -1544,26 +1349,12 @@ impl Engine {
         }
 
         // 3. Slot-occupancy conservation: the per-site occupancy counters
-        //    must equal the number of running attempts (original tasks
-        //    holding a slot while fetching/computing, plus live speculative
-        //    copies) recounted from scratch.
+        //    must equal the number of live attempts (originals and
+        //    speculative copies) recounted from scratch.
         let n = self.cluster.len();
         let mut running = vec![0usize; n];
-        for job in &self.jobs {
-            for st in &job.stages {
-                for task in &st.tasks {
-                    if matches!(
-                        task.state,
-                        TaskState::Fetching { .. } | TaskState::Computing { .. }
-                    ) {
-                        let site = task.run_site.expect("running task has a site");
-                        running[site.index()] += 1;
-                    }
-                }
-            }
-        }
-        for copy in self.copies.values() {
-            running[copy.site.index()] += 1;
+        for attempt in self.attempts() {
+            running[attempt.site.index()] += 1;
         }
         for s in 0..n {
             assert!(
@@ -1599,17 +1390,8 @@ impl Engine {
         //    this to hold mid-run.
         let per_job: f64 = self.jobs.iter().map(|j| j.wan_gb).sum();
         let mut queued_gb = 0.0f64;
-        for job in &self.jobs {
-            for st in &job.stages {
-                for task in &st.tasks {
-                    if let TaskState::Fetching { queued, .. } = &task.state {
-                        queued_gb += queued.iter().map(|&(_, gb)| gb).sum::<f64>();
-                    }
-                }
-            }
-        }
-        for copy in self.copies.values() {
-            queued_gb += copy.queued.iter().map(|&(_, gb)| gb).sum::<f64>();
+        for attempt in self.attempts() {
+            queued_gb += attempt.queued.iter().map(|&(_, gb)| gb).sum::<f64>();
         }
         let flowsim_gb = self.flows.total_wan_gb();
         let expect = flowsim_gb + queued_gb;
@@ -1918,41 +1700,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_rescues_or_completes_cleanly() {
-        use crate::config::SpeculationConfig;
-        // Forced stragglers with a huge multiplier spread: copies resample
-        // their duration and often win. The run must stay consistent either
-        // way (no double completion, slots balanced, WAN non-negative).
-        let input = DataDistribution::new(vec![4.0, 4.0]);
-        let job = Job::map_reduce(JobId(0), "spec", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
-        let cluster = Cluster::new(vec![
-            Site::new("a", 6, 1.0, 1.0),
-            Site::new("b", 6, 1.0, 1.0),
-        ]);
-        let cfg = EngineConfig {
-            straggler_prob: 0.6,
-            straggler_mult: (5.0, 60.0),
-            speculation: Some(SpeculationConfig {
-                threshold: 1.5,
-                max_copies_frac: 0.5,
-            }),
-            batch: crate::config::BatchPolicy::Fixed(0.5),
-            seed: 3,
-            ..EngineConfig::default()
-        };
-        let report = Engine::new(cluster, vec![job], Box::new(LocalScheduler), cfg)
-            .run()
-            .unwrap();
-        assert_eq!(report.jobs.len(), 1);
-        assert!(
-            report.copies_launched > 0,
-            "stragglers should trigger copies"
-        );
-        assert!(report.copies_won <= report.copies_launched);
-        assert!(report.jobs[0].wan_gb >= 0.0);
-    }
-
-    #[test]
     fn speculation_off_launches_no_copies() {
         let input = DataDistribution::new(vec![2.0, 2.0]);
         let job = Job::map_reduce(JobId(0), "nospec", 0.0, input, 4, 1.0, 0.5, 2, 1.0);
@@ -2006,75 +1753,6 @@ mod tests {
         .run()
         .unwrap();
         assert!(r2.trace.is_empty());
-    }
-
-    #[test]
-    fn failure_injection_rexecutes_until_done() {
-        let input = DataDistribution::new(vec![3.0, 3.0]);
-        let job = Job::map_reduce(JobId(0), "flaky", 0.0, input, 6, 1.0, 0.5, 3, 1.0);
-        let report = Engine::new(
-            cluster2(),
-            vec![job],
-            Box::new(LocalScheduler),
-            EngineConfig {
-                failure_prob: 0.3,
-                seed: 17,
-                ..EngineConfig::default()
-            },
-        )
-        .run()
-        .unwrap();
-        assert_eq!(report.jobs.len(), 1);
-        assert!(
-            report.task_failures > 0,
-            "p=0.3 over 9 tasks should fail some"
-        );
-        // Every failure adds at least one task re-execution worth of time.
-        assert!(report.jobs[0].response > 2.0);
-        // No failures => counter stays zero.
-        let input = DataDistribution::new(vec![3.0, 3.0]);
-        let job = Job::map_reduce(JobId(0), "solid", 0.0, input, 6, 1.0, 0.5, 3, 1.0);
-        let clean = Engine::new(
-            cluster2(),
-            vec![job],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(clean.task_failures, 0);
-    }
-
-    #[test]
-    fn failures_and_speculation_compose() {
-        use crate::config::SpeculationConfig;
-        let input = DataDistribution::new(vec![4.0, 4.0]);
-        let job = Job::map_reduce(JobId(0), "chaos", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
-        let cluster = Cluster::new(vec![
-            Site::new("a", 6, 1.0, 1.0),
-            Site::new("b", 6, 1.0, 1.0),
-        ]);
-        let report = Engine::new(
-            cluster,
-            vec![job],
-            Box::new(LocalScheduler),
-            EngineConfig {
-                failure_prob: 0.2,
-                straggler_prob: 0.4,
-                straggler_mult: (4.0, 30.0),
-                speculation: Some(SpeculationConfig {
-                    threshold: 1.5,
-                    max_copies_frac: 0.5,
-                }),
-                batch: crate::config::BatchPolicy::Fixed(0.5),
-                seed: 23,
-                ..EngineConfig::default()
-            },
-        )
-        .run()
-        .unwrap();
-        assert_eq!(report.jobs.len(), 1);
-        assert!(report.jobs[0].response.is_finite());
     }
 
     #[test]
@@ -2166,55 +1844,6 @@ mod tests {
         // The same scheduler with a valid plan completes the run.
         let report = run_with_plan(plan(0, 0, 0, 1)).unwrap();
         assert_eq!(report.jobs.len(), 1);
-    }
-
-    /// Speculation + capped fetch concurrency: a copy (or a cancelled
-    /// original) leaves fetches *queued* behind the cap, which are charged
-    /// to the job at launch but never reach the flow simulator. The refund
-    /// paths must give those back, keeping per-job accounting in lockstep
-    /// with `FlowSim::total_wan_gb`.
-    #[test]
-    fn speculation_with_capped_fetches_keeps_wan_accounting_exact() {
-        use crate::config::SpeculationConfig;
-        let cluster = Cluster::new(vec![
-            Site::new("a", 8, 1.0, 1.0),
-            Site::new("b", 8, 1.0, 1.0),
-            Site::new("c", 8, 1.0, 1.0),
-        ]);
-        // Input on all three sites so every reduce task fetches from two
-        // remote sites; with the cap at 1 one of them always queues.
-        let input = DataDistribution::new(vec![4.0, 4.0, 4.0]);
-        let mut copies_seen = 0;
-        for seed in 0..8 {
-            let job = Job::map_reduce(JobId(0), "capped", 0.0, input.clone(), 9, 1.0, 0.8, 6, 1.0);
-            let report = Engine::new(
-                cluster.clone(),
-                vec![job],
-                Box::new(LocalScheduler),
-                EngineConfig {
-                    straggler_prob: 0.6,
-                    straggler_mult: (5.0, 60.0),
-                    speculation: Some(SpeculationConfig {
-                        threshold: 1.5,
-                        max_copies_frac: 0.5,
-                    }),
-                    max_fetch_concurrency: 1,
-                    batch: crate::config::BatchPolicy::Fixed(0.5),
-                    seed,
-                    ..EngineConfig::default()
-                },
-            )
-            .run()
-            .unwrap();
-            copies_seen += report.copies_won;
-            let per_job: f64 = report.jobs.iter().map(|j| j.wan_gb).sum();
-            assert!(
-                (per_job - report.total_wan_gb).abs() < 1e-6,
-                "seed {seed}: per-job wan {per_job} != flowsim wan {}",
-                report.total_wan_gb
-            );
-        }
-        assert!(copies_seen > 0, "no seed produced a winning copy");
     }
 
     #[test]
@@ -2544,56 +2173,406 @@ mod tests {
         );
     }
 
-    /// A winning copy's trace must carry the copy's own timeline, not the
-    /// original's launch time glued to the copy's duration (which produced
-    /// `compute_started < launched_at` and negative fetch times).
-    #[test]
-    fn trace_invariants_hold_with_winning_copies() {
-        use crate::config::SpeculationConfig;
-        let cluster = Cluster::new(vec![
-            Site::new("a", 6, 1.0, 1.0),
-            Site::new("b", 6, 1.0, 1.0),
-        ]);
-        let mut copies_traced = 0;
-        for seed in 0..8 {
-            let input = DataDistribution::new(vec![4.0, 4.0]);
-            let job = Job::map_reduce(JobId(0), "spec-tr", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
-            let report = Engine::new(
-                cluster.clone(),
-                vec![job],
-                Box::new(LocalScheduler),
-                EngineConfig {
-                    straggler_prob: 0.6,
-                    straggler_mult: (5.0, 60.0),
-                    speculation: Some(SpeculationConfig {
-                        threshold: 1.5,
-                        max_copies_frac: 0.5,
-                    }),
-                    batch: crate::config::BatchPolicy::Fixed(0.5),
-                    record_trace: true,
-                    seed,
-                    ..EngineConfig::default()
-                },
-            )
-            .run()
-            .unwrap();
-            assert_eq!(report.trace.len(), 12, "one trace per task");
-            for t in &report.trace {
-                assert!(
-                    t.compute_started >= t.launched_at - 1e-9,
-                    "seed {seed}: compute at {} before launch at {} (was_copy={})",
-                    t.compute_started,
-                    t.launched_at,
-                    t.was_copy
-                );
-                assert!(t.finished_at >= t.compute_started - 1e-9);
-                assert!(t.fetch_secs() >= 0.0);
-                assert!(t.compute_secs() > 0.0);
-                if t.was_copy {
-                    copies_traced += 1;
+    /// A task's `running_site` in each snapshot that shows it done.
+    type DoneSites = Vec<(JobId, usize, usize, Option<SiteId>)>;
+
+    /// [`LocalScheduler`] that also records [`DoneSites`].
+    struct SiteProbe(std::sync::Arc<std::sync::Mutex<DoneSites>>);
+
+    impl Scheduler for SiteProbe {
+        fn name(&self) -> &str {
+            "site-probe"
+        }
+
+        fn schedule(&mut self, snap: &Snapshot) -> Vec<StagePlan> {
+            let mut seen = self.0.lock().unwrap();
+            for job in &snap.jobs {
+                for st in &job.runnable {
+                    for task in st.tasks.iter().filter(|t| t.phase == TaskPhase::Done) {
+                        seen.push((job.id, st.stage_index, task.index, task.running_site));
+                    }
                 }
             }
+            LocalScheduler.schedule(snap)
         }
-        assert!(copies_traced > 0, "no seed traced a winning copy");
+    }
+
+    /// An outage at the site holding live speculative copies tears them
+    /// down: the unsent part of their fetches is refunded, each counts as a
+    /// cancelled attempt (not a failure), and the originals still finish.
+    #[test]
+    fn outage_tears_down_live_copies_with_refunds() {
+        use crate::config::SpeculationConfig;
+        use tetrium_cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
+        // Two straggling map tasks (9-11 s) hold both slots at a. The no-op
+        // recovery at 2.0 s is a scheduling instance, so both tasks get a
+        // copy at b, each pulling its 1 GB partition at 0.5 GB/s. The
+        // outage at 2.5 s kills the copies 0.25 GB into their fetches.
+        let cluster = Cluster::new(vec![
+            Site::new("a", 2, 1.0, 1.0),
+            Site::new("b", 2, 1.0, 1.0),
+        ]);
+        let input = DataDistribution::new(vec![2.0, 0.0]);
+        let job = Job::new(
+            JobId(0),
+            "m",
+            0.0,
+            vec![tetrium_jobs::Stage::root_map(input, 2, 1.0, 0.5)],
+        );
+        let timeline = DynamicsTimeline::new(vec![
+            DynamicsEvent::new(SiteId(0), 2.0, DynamicsChange::Recover),
+            DynamicsEvent::new(SiteId(1), 2.5, DynamicsChange::Outage),
+        ]);
+        let report = Engine::new(
+            cluster,
+            vec![job],
+            Box::new(LocalScheduler),
+            EngineConfig {
+                straggler_prob: 1.0,
+                straggler_mult: (9.0, 11.0),
+                speculation: Some(SpeculationConfig {
+                    threshold: 1.5,
+                    max_copies_frac: 1.0,
+                }),
+                record_trace: true,
+                record_obs: true,
+                seed: 4,
+                ..EngineConfig::default()
+            },
+        )
+        .with_dynamics(timeline)
+        .run()
+        .unwrap();
+        // Two copies at b before the outage, and a third at a once the
+        // first original frees a slot there; that one loses to its
+        // original and is cancelled too.
+        assert_eq!(report.copies_launched, 3);
+        assert_eq!(report.copies_won, 0);
+        assert_eq!(report.task_failures, 0);
+        // The originals finished at their own site.
+        assert_eq!(report.trace.len(), 2);
+        assert!(report
+            .trace
+            .iter()
+            .all(|t| t.site == SiteId(0) && !t.was_copy && t.finished_at >= 9.0));
+        // Only the 0.5 GB sent before the outage stays charged, and the
+        // per-job ledger reconciles with the flow simulator's.
+        assert!(
+            (report.jobs[0].wan_gb - 0.5).abs() < 1e-9,
+            "{:?}",
+            report.jobs[0]
+        );
+        assert!((report.jobs[0].wan_gb - report.total_wan_gb).abs() < 1e-9);
+        let obs = report.obs.expect("obs recorded");
+        assert_eq!(obs.counters.attempts_cancelled, 3);
+        assert_eq!(obs.counters.copies_launched, 3);
+        assert_eq!(obs.counters.site_outages, 1);
+        assert_eq!(obs.counters.dynamics_retries, 0);
+        let cancelled: Vec<_> = obs
+            .task_events
+            .iter()
+            .filter(|e| e.phase == TaskPhaseEvent::Cancelled && e.site == SiteId(1))
+            .collect();
+        assert_eq!(cancelled.len(), 2);
+        assert!(cancelled.iter().all(|e| e.copy && e.t == 2.5));
+        assert!((obs.total_wan_gb() - 0.5).abs() < 1e-9);
+        assert_eq!(obs.slot_timeline[1].last().unwrap().1, 0);
+    }
+
+    /// FNV-1a over a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Digest of every simulated output of a run: job outcomes and ledger
+    /// totals by their bits, the task trace (`{:?}` prints each f64 in a
+    /// form that round-trips exactly) and the obs record minus its
+    /// wall-clock fields.
+    fn report_digest(r: &RunReport) -> u64 {
+        use std::fmt::Write;
+        let mut s = String::new();
+        for j in &r.jobs {
+            let (fin, resp, wan) = (
+                j.finished.to_bits(),
+                j.response.to_bits(),
+                j.wan_gb.to_bits(),
+            );
+            writeln!(s, "{:?} {fin:x} {resp:x} {wan:x}", j.id).unwrap();
+        }
+        writeln!(
+            s,
+            "{:x} {:x} {} {} {} {} {}",
+            r.makespan.to_bits(),
+            r.total_wan_gb.to_bits(),
+            r.sched_invocations,
+            r.copies_launched,
+            r.copies_won,
+            r.task_failures,
+            r.dynamics_events
+        )
+        .unwrap();
+        for t in &r.trace {
+            writeln!(s, "{t:?}").unwrap();
+        }
+        if let Some(obs) = &r.obs {
+            s.push_str(&obs.to_json(false).to_string());
+        }
+        fnv1a(s.as_bytes())
+    }
+
+    /// The engine's speculation, failure and outage scenarios under a
+    /// [`SiteProbe`], each with the trace and obs recorded.
+    fn pinned_runs() -> Vec<(String, RunReport, DoneSites)> {
+        use crate::config::{BatchPolicy, SpeculationConfig};
+        use tetrium_cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
+        let sites = |n: usize, slots: usize| {
+            Cluster::new(
+                (0..n)
+                    .map(|i| Site::new(format!("s{i}"), slots, 1.0, 1.0))
+                    .collect(),
+            )
+        };
+        let spec = Some(SpeculationConfig {
+            threshold: 1.5,
+            max_copies_frac: 0.5,
+        });
+        let base = EngineConfig {
+            record_trace: true,
+            record_obs: true,
+            ..EngineConfig::default()
+        };
+        let mr = |input: Vec<f64>, maps, ratio, reduces| {
+            let input = DataDistribution::new(input);
+            Job::map_reduce(JobId(0), "pin", 0.0, input, maps, 1.0, ratio, reduces, 1.0)
+        };
+        let mut out = Vec::new();
+        let mut run = |name: String, cluster, job, cfg, dynamics| {
+            let seen = std::sync::Arc::default();
+            let probe = Box::new(SiteProbe(std::sync::Arc::clone(&seen)));
+            let report = Engine::new(cluster, vec![job], probe, cfg)
+                .with_dynamics(DynamicsTimeline::new(dynamics))
+                .run()
+                .unwrap();
+            let seen = std::mem::take(&mut *seen.lock().unwrap());
+            out.push((name, report, seen));
+        };
+        for seed in 0..8 {
+            let cfg = EngineConfig {
+                straggler_prob: 0.6,
+                straggler_mult: (5.0, 60.0),
+                speculation: spec,
+                batch: BatchPolicy::Fixed(0.5),
+                seed,
+                ..base.clone()
+            };
+            let job = mr(vec![4.0, 4.0], 8, 0.5, 4);
+            run(
+                format!("speculation/{seed}"),
+                sites(2, 6),
+                job,
+                cfg.clone(),
+                vec![],
+            );
+            // Every reduce task fetches from two remote sites, and with the
+            // cap at 1 one of them always queues.
+            let capped = EngineConfig {
+                max_fetch_concurrency: 1,
+                ..cfg
+            };
+            let job = mr(vec![4.0; 3], 9, 0.8, 6);
+            run(
+                format!("capped-fetches/{seed}"),
+                sites(3, 8),
+                job,
+                capped,
+                vec![],
+            );
+        }
+        for seed in [0, 1, 2, 3, 23] {
+            let cfg = EngineConfig {
+                failure_prob: 0.2,
+                straggler_prob: 0.4,
+                straggler_mult: (4.0, 30.0),
+                speculation: spec,
+                batch: BatchPolicy::Fixed(0.5),
+                seed,
+                ..base.clone()
+            };
+            let job = mr(vec![4.0, 4.0], 8, 0.5, 4);
+            run(
+                format!("failures+speculation/{seed}"),
+                sites(2, 6),
+                job,
+                cfg,
+                vec![],
+            );
+        }
+        for seed in 0..6 {
+            // Everything at once: failures, stragglers with copies, capped
+            // fetches and two outages with recoveries.
+            let cfg = EngineConfig {
+                failure_prob: 0.1,
+                duration_cv: 0.3,
+                straggler_prob: 0.5,
+                straggler_mult: (4.0, 30.0),
+                speculation: spec,
+                max_fetch_concurrency: 2,
+                batch: BatchPolicy::Fixed(0.5),
+                seed,
+                ..base.clone()
+            };
+            let dynamics = vec![
+                DynamicsEvent::new(SiteId(1), 2.0, DynamicsChange::Outage),
+                DynamicsEvent::new(SiteId(1), 4.0, DynamicsChange::Recover),
+                DynamicsEvent::new(SiteId(2), 5.0, DynamicsChange::Outage),
+                DynamicsEvent::new(SiteId(2), 7.0, DynamicsChange::Recover),
+            ];
+            let job = mr(vec![4.0; 3], 9, 0.5, 6);
+            run(
+                format!("outages+speculation/{seed}"),
+                sites(3, 4),
+                job,
+                cfg,
+                dynamics,
+            );
+        }
+        let flaky = EngineConfig {
+            failure_prob: 0.3,
+            seed: 17,
+            ..base.clone()
+        };
+        run(
+            "failures".into(),
+            cluster2(),
+            mr(vec![3.0, 3.0], 6, 0.5, 3),
+            flaky,
+            vec![],
+        );
+        let outage_mid_fetch = vec![
+            DynamicsEvent::new(SiteId(0), 1.5, DynamicsChange::Outage),
+            DynamicsEvent::new(SiteId(0), 2.0, DynamicsChange::Recover),
+        ];
+        let job = mr(vec![2.0, 2.0], 2, 0.5, 1);
+        run(
+            "outage-mid-fetch".into(),
+            cluster2(),
+            job,
+            base,
+            outage_mid_fetch,
+        );
+        out
+    }
+
+    /// Pins every simulated output of the pinned runs bit for bit, so a
+    /// change to the attempt lifecycle that moves any RNG draw, event, slot
+    /// sample or WAN refund shows here.
+    #[test]
+    fn attempt_lifecycle_outputs_are_pinned() {
+        const PINNED: [(&str, u64); 29] = [
+            ("speculation/0", 0x185ee0e1cc3edee4),
+            ("capped-fetches/0", 0xb3f7526c2e20f413),
+            ("speculation/1", 0x4c973e263b774b69),
+            ("capped-fetches/1", 0xf0951d40490d46b1),
+            ("speculation/2", 0xb6412f54fe2e0892),
+            ("capped-fetches/2", 0x3aea78beab9c8289),
+            ("speculation/3", 0x6b21258ecb9f4762),
+            ("capped-fetches/3", 0x0efac28de3b1e93c),
+            ("speculation/4", 0xcc85f471a74217c8),
+            ("capped-fetches/4", 0x64a960769a3ebd3d),
+            ("speculation/5", 0x6dab20100b10f660),
+            ("capped-fetches/5", 0xf0021f8315ecfcdd),
+            ("speculation/6", 0xc5ab1fe0c5c6d2e1),
+            ("capped-fetches/6", 0xa14c2108645e539f),
+            ("speculation/7", 0x0d216552fb017816),
+            ("capped-fetches/7", 0xe7ce08e19fde8ac5),
+            ("failures+speculation/0", 0xcd6189a7b3dffca7),
+            ("failures+speculation/1", 0x7a70545d8ddc4f54),
+            ("failures+speculation/2", 0x225edf73793a2c27),
+            ("failures+speculation/3", 0x56e27acd6b867f38),
+            ("failures+speculation/23", 0x0ec9bb9d9470e94a),
+            ("outages+speculation/0", 0x2bae62bdf892d37e),
+            ("outages+speculation/1", 0xdc9ba5dffc6bd90c),
+            ("outages+speculation/2", 0x77276ea3e3cbbdea),
+            ("outages+speculation/3", 0x5080cbafd7577e3a),
+            ("outages+speculation/4", 0x64cbeb4fcf277b58),
+            ("outages+speculation/5", 0x7e7f52f0209e7104),
+            ("failures", 0xecb4ad8152e96894),
+            ("outage-mid-fetch", 0xa5e733b0f5826c09),
+        ];
+        let runs = pinned_runs();
+        assert_eq!(runs.len(), PINNED.len());
+        for ((name, report, _), (want_name, want)) in runs.iter().zip(PINNED) {
+            assert_eq!(name, want_name);
+            let got = report_digest(report);
+            assert_eq!(
+                got, want,
+                "{name}: digest {got:#018x} != pinned {want:#018x}"
+            );
+        }
+    }
+
+    /// Every pinned run completes each task once, with a well-formed trace
+    /// (a winning copy reports its own timeline, so no fetch phase is
+    /// negative), and its per-job WAN charges reconcile with the flow
+    /// simulator's ledger, queued-behind-cap refunds included.
+    #[test]
+    fn pinned_runs_keep_trace_and_ledger_invariants() {
+        let mut copies_won = 0;
+        for (name, r, _) in pinned_runs() {
+            let tasks: usize = r.jobs.iter().map(|j| j.total_tasks).sum();
+            assert_eq!(r.trace.len(), tasks, "{name}: one trace per task");
+            for t in &r.trace {
+                assert!(t.compute_started >= t.launched_at - 1e-9, "{name}: {t:?}");
+                assert!(t.finished_at >= t.compute_started - 1e-9, "{name}: {t:?}");
+                assert!(t.compute_secs() > 0.0, "{name}: {t:?}");
+            }
+            let per_job: f64 = r.jobs.iter().map(|j| j.wan_gb).sum();
+            let sane = |j: &JobOutcome| j.wan_gb >= 0.0 && j.response.is_finite();
+            assert!(r.jobs.iter().all(sane), "{name}");
+            assert!(
+                (per_job - r.total_wan_gb).abs() < 1e-6,
+                "{name}: {per_job} != {}",
+                r.total_wan_gb
+            );
+            assert!(r.copies_won <= r.copies_launched, "{name}");
+            if name.starts_with("speculation/") || name.starts_with("capped-fetches/") {
+                assert!(
+                    r.copies_launched > 0,
+                    "{name}: stragglers should trigger copies"
+                );
+                assert_eq!(r.task_failures, 0, "{name}");
+            } else {
+                assert!(r.task_failures > 0, "{name}: failures should be injected");
+            }
+            if name == "failures" {
+                // Every failure adds at least one task re-execution worth
+                // of time to the 2 s failure-free run.
+                assert!(r.jobs[0].response > 2.0, "{name}");
+            }
+            copies_won += r.copies_won;
+        }
+        assert!(copies_won > 0, "no pinned run had a winning copy");
+    }
+
+    /// A done task ran where the attempt that finished it ran, and the
+    /// snapshot must say so — a speculative copy's site when the copy won.
+    #[test]
+    fn done_tasks_report_the_winning_attempts_site() {
+        let mut copy_observations = 0;
+        for (name, report, seen) in pinned_runs() {
+            for (job, stage, task, site) in seen {
+                let ran = report
+                    .trace
+                    .iter()
+                    .find(|r| r.job == job && r.stage == stage && r.task == task)
+                    .expect("every done task is traced");
+                let what = format!("{name}: task {task} of stage {stage}");
+                assert_eq!(site, Some(ran.site), "{what} (was_copy={})", ran.was_copy);
+                copy_observations += usize::from(ran.was_copy);
+            }
+        }
+        assert!(copy_observations > 0, "no snapshot showed a copy-won task");
     }
 }

@@ -41,7 +41,9 @@ pub struct TaskSnapshot {
     pub input_gb: f64,
     /// This task's share of the stage input (uniform unless key-skewed).
     pub share: f64,
-    /// Where the task is running or ran (for `Running`/`Done`).
+    /// Where the task is running (`Running`: its original attempt's site)
+    /// or ran (`Done`: the site of the attempt that finished it, which is a
+    /// speculative copy's when the copy won).
     pub running_site: Option<SiteId>,
 }
 

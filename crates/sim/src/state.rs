@@ -5,27 +5,42 @@ use tetrium_cluster::{DataDistribution, SiteId};
 use tetrium_jobs::{largest_remainder_round, Job, StageKind};
 use tetrium_net::FlowKey;
 
+/// One attempt at a task: the original launch, or a speculative copy of a
+/// straggler (§8). Both kinds share one lifecycle in the engine: occupy a
+/// slot at `site`, pull remote inputs with a bounded number of flows in
+/// flight, compute for `secs`, then release the slot on completion or
+/// teardown.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Attempt {
+    /// Engine-wide unique id. A compute-done event names the attempt that
+    /// pushed it, so an event whose attempt has since ended is stale.
+    pub id: u64,
+    /// Site the attempt occupies a slot at.
+    pub site: SiteId,
+    /// Sampled compute seconds.
+    pub secs: f64,
+    /// When the attempt occupied its slot.
+    pub launched_at: f64,
+    /// When the compute phase began; `None` while inputs are in flight.
+    pub compute_started: Option<f64>,
+    /// Input flows in flight.
+    pub pending: Vec<FlowKey>,
+    /// Fetches not yet opened `(source, GB)`; drained as in-flight flows
+    /// finish, bounding per-attempt fetch concurrency like a real shuffle
+    /// client.
+    pub queued: Vec<(SiteId, f64)>,
+}
+
 /// Lifecycle of a task inside the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskState {
     /// Waiting for an assignment and a free slot.
     Unlaunched,
-    /// Occupying a slot while its input flows drain.
-    Fetching {
-        /// Flows currently in flight.
-        pending: Vec<FlowKey>,
-        /// Fetches not yet opened `(source, GB)`; drained as in-flight
-        /// flows finish, bounding per-task fetch concurrency like a real
-        /// shuffle client.
-        queued: Vec<(SiteId, f64)>,
-    },
-    /// Occupying a slot while computing; finishes at the stored time.
-    Computing {
-        /// Absolute completion time.
-        done_at: f64,
-    },
-    /// Finished.
-    Done,
+    /// The original attempt holds a slot. A live speculative copy, if any,
+    /// is kept beside the tasks, in the engine's copy map.
+    Running(Attempt),
+    /// Finished by the attempt (original or copy) that ran at this site.
+    Done(SiteId),
 }
 
 /// Runtime record of one task.
@@ -44,14 +59,6 @@ pub struct TaskRt {
     pub priority: i64,
     /// Current lifecycle state.
     pub state: TaskState,
-    /// Site the task is or was running at.
-    pub run_site: Option<SiteId>,
-    /// Actual compute seconds (sampled at launch).
-    pub actual_secs: Option<f64>,
-    /// When the task's compute phase started (for speculation).
-    pub compute_started: Option<f64>,
-    /// When the task was launched into a slot (for trace recording).
-    pub launched_at: Option<f64>,
     /// Attempts of this task lost so far (failure injection or site
     /// outage); bounded by `EngineConfig::max_task_retries`.
     pub retries: usize,
@@ -91,28 +98,6 @@ pub struct StageRt {
     pub activated_at: Option<f64>,
     /// Time the stage finished.
     pub finished_at: Option<f64>,
-}
-
-/// A live speculative copy of a running task (§8's straggler mitigation).
-#[derive(Debug, Clone)]
-pub struct CopyRt {
-    /// Monotone id distinguishing re-launched copies in stale events.
-    pub id: u64,
-    /// Site the copy occupies a slot at.
-    pub site: SiteId,
-    /// Copy input flows still in flight.
-    pub pending: Vec<FlowKey>,
-    /// Fetches not yet opened.
-    pub queued: Vec<(SiteId, f64)>,
-    /// Whether the copy reached its compute phase.
-    pub computing: bool,
-    /// Sampled compute duration of the copy.
-    pub secs: f64,
-    /// Time the copy occupied its slot (the copy's own timeline, so a
-    /// winning copy's trace does not mix with the original's).
-    pub launched_at: f64,
-    /// Time the copy's compute phase began, once it has.
-    pub compute_started: Option<f64>,
 }
 
 /// Runtime record of one job.
@@ -216,10 +201,6 @@ pub fn build_tasks(
         assigned_site: None,
         priority: i64::MAX,
         state: TaskState::Unlaunched,
-        run_site: None,
-        actual_secs: None,
-        compute_started: None,
-        launched_at: None,
         retries: 0,
     };
     match kind {
