@@ -1,9 +1,8 @@
 //! Records the performance baseline consumed by future PRs: engine
-//! throughput (tasks simulated per second on the 30-site trace workload —
-//! the same one `benches/engine_throughput.rs` times), the WAN flow
-//! simulator's churn micro-benchmark (`benches/flowsim_churn.rs`), the
-//! scheduling-instance latency of the recurring dashboard stream with the
-//! template plan cache off vs on (DESIGN.md §11), and, when a prior
+//! throughput (tasks simulated per second on the 30-site trace workload),
+//! the WAN flow simulator's churn micro-benchmark ([`tetrium_bench::churn`]),
+//! the scheduling-instance latency of the recurring dashboard stream with
+//! the template plan cache off vs on (DESIGN.md §11), and, when a prior
 //! `all_figures` run left `target/experiments/harness_wallclock.json`
 //! behind, the harness wall-clock. Writes `benchmarks/perf_baseline.json`
 //! (committed to the repo).
@@ -52,8 +51,7 @@ fn main() {
     let jobs = trace_like_jobs(&cluster, 8, &params, &mut rng);
     let total_tasks: usize = jobs.iter().map(|j| j.total_tasks()).sum();
 
-    // Median of several full runs: robust to one-off scheduling noise
-    // without criterion's multi-second calibration loop.
+    // Median of several full runs: robust to one-off scheduling noise.
     let mut secs: Vec<f64> = (0..5)
         .map(|_| {
             let t0 = Instant::now();
@@ -191,8 +189,8 @@ fn main() {
     println!("baseline written to {path}");
 }
 
-/// Median wall time of the `FlowSim` churn workload (same shape as
-/// `benches/flowsim_churn.rs`), plus the per-run event count.
+/// Median wall time of the `FlowSim` churn workload, plus the per-run
+/// event count.
 fn flowsim_churn_median() -> (usize, f64) {
     let events = run_flowsim_churn(30, 2_000, 7);
     let mut secs: Vec<f64> = (0..5)
@@ -351,8 +349,8 @@ fn serve_throughput_median() -> (usize, f64) {
 /// by more than the tolerance — 2% by default, overridable through
 /// `TETRIUM_PERF_TOLERANCE` (a ratio, e.g. `0.10`) for noisy CI machines.
 /// Median per-instance solve latency of the sparse revised simplex vs the
-/// dense tableau oracle on the shared 100-site map-placement LP
-/// (`benches/solver_time.rs` times the same instance). Guards the
+/// dense tableau oracle on the 100-site map-placement LP
+/// ([`tetrium_bench::map_like_lp`]). Guards the
 /// tentpole of DESIGN.md §13: the sparse substrate must hold a ≥5x
 /// per-instance advantage at 100 sites and beyond.
 fn solver_time_medians() -> (f64, f64) {

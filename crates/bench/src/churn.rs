@@ -1,6 +1,5 @@
 //! Deterministic flow-churn workload driving [`FlowSim`] directly — the
-//! micro-benchmark behind `benches/flowsim_churn.rs` and the
-//! `flowsim_churn` entry of `perf_snapshot`.
+//! micro-benchmark behind the `flowsim_churn` entry of `perf_snapshot`.
 //!
 //! The pattern mirrors what the engine does to the simulator on the 30-site
 //! trace: bursts of same-instant shuffle fan-out (many `add_flow` calls

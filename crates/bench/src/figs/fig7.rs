@@ -17,7 +17,7 @@ use tetrium_sim::{
 
 /// Builds a synthetic scheduling snapshot with `n_jobs` single-stage jobs of
 /// `tasks_per_job` map tasks over 50 heterogeneous sites.
-pub fn snapshot(n_jobs: usize, tasks_per_job: usize) -> Snapshot {
+fn snapshot(n_jobs: usize, tasks_per_job: usize) -> Snapshot {
     let n_sites = 50;
     let sites: Vec<SiteState> = (0..n_sites)
         .map(|i| SiteState {

@@ -131,9 +131,8 @@ pub fn banner(id: &str, title: &str) {
 /// `(source, destination)` pair (each source may ship to itself plus 12
 /// pruned destinations, matching the scheduler's `dest_limit`), plus the
 /// three makespan variables, with the row structure of
-/// `solve_map_placement` (row sums, upload, download, compute). Shared by
-/// `benches/solver_time.rs` and `perf_snapshot` so the criterion bench and
-/// the perf gate time the same instance.
+/// `solve_map_placement` (row sums, upload, download, compute). The
+/// instance `perf_snapshot`'s `solver_time` entry times.
 pub fn map_like_lp(n: usize) -> tetrium_lp::Problem {
     use tetrium_lp::{Problem, Relation};
     assert!(n > 13, "the pruned-destination layout needs n > 13");

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// The core network is congestion-free (paper §2.1): the only network
 /// constraints are each site's uplink and downlink. A `Cluster` is immutable
 /// configuration; mutable capacity state during a simulation (e.g. after a
-/// [`crate::CapacityDrop`]) lives in the engine.
+/// [`crate::DynamicsEvent`]) lives in the engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cluster {
     sites: Vec<Site>,

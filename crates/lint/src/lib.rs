@@ -48,12 +48,9 @@
 //! without a reason still works; the dataflow rules (L6–L8) ignore
 //! reasonless markers — write `lint:allow(L6, "why this is safe")`.
 //!
-//! Two engines share this crate: [`lint_source`] is the original per-file
-//! token engine (L1–L5 only — kept verbatim so fixtures can prove what it
-//! misses), and [`lint_sources`]/[`lint_workspace`] run the full
-//! multi-file engine (L1–L8). CI consumes the latter as JSON
-//! (`cargo lint --json`) ratcheted against `lint_baseline.json`; see
-//! [`baseline`].
+//! [`lint_sources`] and [`lint_workspace`] run every rule (L1–L8) over a
+//! set of files. CI consumes the findings as JSON (`cargo lint --json`)
+//! ratcheted against `lint_baseline.json`; see [`baseline`].
 
 pub mod baseline;
 pub mod callgraph;
@@ -116,7 +113,7 @@ impl Rule {
 pub struct Finding {
     pub rule: Rule,
     /// Workspace-relative path (or the virtual path given to
-    /// [`lint_source`]).
+    /// [`lint_sources`]).
     pub path: String,
     /// 1-based line of the offending token.
     pub line: u32,
@@ -154,20 +151,6 @@ pub struct SourceFile {
     pub syntax: FileSyntax,
 }
 
-/// Lints a single file with the **original token engine** (L1–L5 only,
-/// no syntax layer, no call graph). `virtual_path` determines rule scope,
-/// so tests can lint snippets "as if" they lived at a given workspace
-/// path. Kept verbatim so fixtures can demonstrate what per-file token
-/// matching provably misses; everything real goes through
-/// [`lint_sources`] / [`lint_workspace`].
-pub fn lint_source(virtual_path: &str, source: &str) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    let mut findings = Vec::new();
-    token_rules(virtual_path, &lexed, &mut findings);
-    let findings = apply_allows(&lexed, findings);
-    finalize(virtual_path, &lexed, findings)
-}
-
 /// The per-file token rules (L1–L5), scoped by path.
 fn token_rules(path: &str, lexed: &Lexed, out: &mut Vec<rules::RawFinding>) {
     if rules::l1_applies(path) {
@@ -185,11 +168,12 @@ fn token_rules(path: &str, lexed: &Lexed, out: &mut Vec<rules::RawFinding>) {
     }
 }
 
-/// Lints a set of files with the **full engine**: token rules (L1–L5)
-/// per file, panic reachability (L6) against the syntax layer, lock
-/// discipline (L8) across `crates/serve`, and determinism taint (L7)
-/// propagated through the workspace call graph. Findings come back
-/// sorted by (path, line, col, rule).
+/// Lints a set of files: token rules (L1–L5) per file, panic
+/// reachability (L6) against the syntax layer, lock discipline (L8)
+/// across `crates/serve`, and determinism taint (L7) propagated through
+/// the workspace call graph. Each path sets rule scope, so tests can lint
+/// snippets "as if" they lived at a given workspace path. Findings come
+/// back sorted by (path, line, col, rule).
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
     let mut parsed: Vec<SourceFile> = files
         .iter()
@@ -266,10 +250,9 @@ fn apply_allows(lexed: &Lexed, findings: Vec<rules::RawFinding>) -> Vec<rules::R
         .collect()
 }
 
-/// Attaches path and source-line context, sorts by position.
+/// Attaches path and source-line context.
 fn finalize(path: &str, lexed: &Lexed, raw: Vec<rules::RawFinding>) -> Vec<Finding> {
-    let mut out: Vec<Finding> = raw
-        .into_iter()
+    raw.into_iter()
         .map(|f| Finding {
             rule: f.rule,
             path: path.to_string(),
@@ -283,9 +266,7 @@ fn finalize(path: &str, lexed: &Lexed, raw: Vec<rules::RawFinding>) -> Vec<Findi
                 .cloned()
                 .unwrap_or_default(),
         })
-        .collect();
-    out.sort_by_key(|f| (f.line, f.col, f.rule));
-    out
+        .collect()
 }
 
 /// Lints every Rust source file under `root` (the workspace root) with

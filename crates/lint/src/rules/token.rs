@@ -430,70 +430,74 @@ pub fn check_l5(lexed: &Lexed, out: &mut Vec<RawFinding>) {
 
 #[cfg(test)]
 mod tests {
-    use crate::lint_source;
-    use crate::Rule;
+    use crate::{lint_sources, Finding, Rule};
+
+    /// Lints `src` as if it lived at `path`, keeping only `rule`'s
+    /// findings (the full engine also runs L6–L8 on the same snippet).
+    fn lint(path: &str, src: &str, rule: Rule) -> Vec<Finding> {
+        let mut f = lint_sources(&[(path.to_string(), src.to_string())]);
+        f.retain(|f| f.rule == rule);
+        f
+    }
 
     #[test]
     fn l4_flags_float_cast_and_spares_int_packing() {
         let bad = "fn f(n: f64) -> usize { (n * 1.5).ceil() as usize }";
-        let f = lint_source("crates/net/src/maxmin.rs", bad);
+        let f = lint("crates/net/src/maxmin.rs", bad, Rule::L4);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::L4);
         // Pure integer packing must not fire.
         let good = "fn key(a: usize, b: usize) -> u64 { ((a as u64) << 32) | b as u64 }";
-        assert!(lint_source("crates/net/src/maxmin.rs", good).is_empty());
+        assert!(lint("crates/net/src/maxmin.rs", good, Rule::L4).is_empty());
     }
 
     #[test]
     fn l1_keyed_lookup_is_fine_iteration_is_not() {
         let src = "use std::collections::HashMap;\n\
                    fn f(m: &HashMap<u32, u32>) -> u32 { *m.get(&1).unwrap() }";
-        assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
+        assert!(lint("crates/sim/src/x.rs", src, Rule::L1).is_empty());
         let src = "use std::collections::HashMap;\n\
                    fn f(m: &HashMap<u32, u32>) -> u32 { m.values().sum() }";
-        let f = lint_source("crates/sim/src/x.rs", src);
+        let f = lint("crates/sim/src/x.rs", src, Rule::L1);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::L1);
     }
 
     #[test]
     fn l2_definition_is_exempt() {
         let src =
             "impl PartialOrd for X { fn partial_cmp(&self, o: &X) -> Option<Ordering> { None } }";
-        assert!(lint_source("crates/core/src/x.rs", src).is_empty());
+        assert!(lint("crates/core/src/x.rs", src, Rule::L2).is_empty());
     }
 
     #[test]
     fn l3_skips_bench_and_type_mentions() {
         let src = "fn f() { let t = Instant::now(); }";
-        assert_eq!(lint_source("crates/sim/src/x.rs", src).len(), 1);
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+        assert_eq!(lint("crates/sim/src/x.rs", src, Rule::L3).len(), 1);
+        assert!(lint("crates/bench/src/x.rs", src, Rule::L3).is_empty());
         let sig = "fn f(deadline: Instant) {}";
-        assert!(lint_source("crates/sim/src/x.rs", sig).is_empty());
+        assert!(lint("crates/sim/src/x.rs", sig, Rule::L3).is_empty());
     }
 
     #[test]
     fn l5_flags_nested_float_vec_only_in_sparse_crates() {
         let src = "struct M { rows: Vec<Vec<f64>> }";
-        let f = lint_source("crates/lp/src/x.rs", src);
+        let f = lint("crates/lp/src/x.rs", src, Rule::L5);
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::L5);
-        assert_eq!(lint_source("crates/net/src/x.rs", src).len(), 1);
+        assert_eq!(lint("crates/net/src/x.rs", src, Rule::L5).len(), 1);
         // Same type outside the sparse substrate is someone else's problem.
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+        assert!(lint("crates/bench/src/x.rs", src, Rule::L5).is_empty());
         // Sparse shapes don't fire: flat data + index vectors.
         let good = "struct Csc { data: Vec<f64>, rows: Vec<u32>, col_ptr: Vec<usize> }";
-        assert!(lint_source("crates/lp/src/x.rs", good).is_empty());
+        assert!(lint("crates/lp/src/x.rs", good, Rule::L5).is_empty());
         // Nested integer vecs (e.g. adjacency lists) are fine.
         let adj = "struct G { groups: Vec<Vec<u32>> }";
-        assert!(lint_source("crates/net/src/x.rs", adj).is_empty());
+        assert!(lint("crates/net/src/x.rs", adj, Rule::L5).is_empty());
     }
 
     #[test]
     fn allow_marker_suppresses_on_next_line() {
         let src = "// lint:allow(L3) -- telemetry only\nfn f() { let t = Instant::now(); }";
-        assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
+        assert!(lint("crates/sim/src/x.rs", src, Rule::L3).is_empty());
         let src = "// lint:allow(L1) -- wrong rule\nfn f() { let t = Instant::now(); }";
-        assert_eq!(lint_source("crates/sim/src/x.rs", src).len(), 1);
+        assert_eq!(lint("crates/sim/src/x.rs", src, Rule::L3).len(), 1);
     }
 }

@@ -1,5 +1,5 @@
 //! L7 fixture, helper half: iterates a `HashMap` outside L1's path
-//! scope. The old token engine reports nothing here — the taint only
+//! scope. The token rules report nothing here — the taint only
 //! becomes visible once it flows through `merge_weights` into the sim
 //! crate (see `crates/sim/src/taint_caller.rs`).
 

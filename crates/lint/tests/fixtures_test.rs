@@ -7,7 +7,7 @@
 
 use std::path::Path;
 use tetrium_lint::baseline::Baseline;
-use tetrium_lint::{lint_source, lint_workspace, Finding, Rule};
+use tetrium_lint::{lint_workspace, Finding, Rule};
 
 fn fixture_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -101,29 +101,11 @@ fn l6_fixture_fires_on_every_panic_shape_at_exact_spans() {
 
 /// The acceptance case for the dataflow engine: a `HashMap` iteration in
 /// `crates/core` (outside L1's path scope) taints a caller in
-/// `crates/sim` through the call graph. The old token engine provably
-/// misses it — zero findings on both halves — while the new engine flags
-/// the caller at the exact call-site span.
+/// `crates/sim` through the call graph. The helper stays clean (the seed
+/// is L1 territory, out of scope in crates/core) and the caller is flagged
+/// at the exact `merge_weights` call-site span.
 #[test]
-fn l7_cross_file_taint_fixture_old_engine_misses_new_engine_flags_caller() {
-    let helper_path = "crates/core/src/taint_helper.rs";
-    let caller_path = "crates/sim/src/taint_caller.rs";
-    let helper = std::fs::read_to_string(fixture_root().join(helper_path)).expect("helper");
-    let caller = std::fs::read_to_string(fixture_root().join(caller_path)).expect("caller");
-
-    // Old token-level engine (L1–L5): blind on both files.
-    assert!(
-        lint_source(helper_path, &helper).is_empty(),
-        "old engine must miss the out-of-scope hash iteration"
-    );
-    assert!(
-        lint_source(caller_path, &caller).is_empty(),
-        "old engine must miss the taint import"
-    );
-
-    // New dataflow engine: the helper stays clean (the seed is L1
-    // territory, out of scope in crates/core), the caller is flagged at
-    // the `merge_weights` call site.
+fn l7_cross_file_taint_fixture_flags_caller() {
     let all = fixture_findings();
     assert!(
         for_file(&all, "taint_helper.rs").is_empty(),

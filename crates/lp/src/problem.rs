@@ -156,7 +156,9 @@ impl Problem {
     ///
     /// Returns [`LpError::Infeasible`] when no assignment satisfies all
     /// constraints and [`LpError::Unbounded`] when the objective can improve
-    /// without limit.
+    /// without limit. Numerical trouble gives [`LpError::SingularBasis`]
+    /// when a basis refactorization finds the basis singular, and
+    /// [`LpError::IterationLimit`] when the pivot limit runs out.
     pub fn solve(&self) -> Result<Solution, LpError> {
         // Normalize to a minimization problem; flip the objective back at the
         // end for maximization.

@@ -100,7 +100,7 @@ impl<'a> Rev<'a> {
             |k, out| sys.for_col(cols[k], |r, v| out.push((r as u32, v))),
             LU_TOL,
         )
-        .ok_or(LpError::IterationLimit)?;
+        .ok_or(LpError::SingularBasis)?;
         self.etas.clear();
         let at_upper = self.at_upper();
         let mut b = bounded_rhs(self.sys, &self.ub[..self.sys.num_vars], &at_upper);
@@ -480,4 +480,24 @@ pub(crate) fn solve_sparse(
     rev.optimize(&c2, &barred_p2)?;
     rev.optimize_face(&c2, &barred_p2)?;
     Ok(rev.extract(objective, upper))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::Relation;
+
+    #[test]
+    fn refactoring_a_basis_with_a_duplicated_column_is_singular() {
+        let row = |terms: Vec<(usize, f64)>, rhs| Constraint {
+            terms,
+            relation: Relation::Le,
+            rhs,
+        };
+        let constraints = [row(vec![(0, 1.0), (1, 1.0)], 4.0), row(vec![(0, 1.0)], 3.0)];
+        let sys = NormSystem::build(2, &constraints);
+        let mut rev = Rev::cold_start(&sys, &[f64::INFINITY; 2]).expect("slack basis");
+        rev.basis_cols[1] = rev.basis_cols[0];
+        assert_eq!(rev.refactor().unwrap_err(), LpError::SingularBasis);
+    }
 }

@@ -13,7 +13,7 @@ use rand_distr::{Distribution, LogNormal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-use tetrium_cluster::{CapacityDrop, Cluster, DynamicsChange, DynamicsTimeline, SiteId};
+use tetrium_cluster::{Cluster, DynamicsChange, DynamicsTimeline, SiteId};
 use tetrium_jobs::{Job, JobId, StageKind};
 use tetrium_net::{FlowKey, FlowSim};
 use tetrium_obs::{Obs, SchedRecord, TaskPhaseEvent, Trigger};
@@ -264,14 +264,6 @@ impl Engine {
         self.flow_owner.get_mut(key.index()).and_then(Option::take)
     }
 
-    /// Adds capacity-drop events that fire during the run (§4.2).
-    ///
-    /// Legacy entry point: the drops are converted into the equivalent
-    /// [`DynamicsTimeline`] and merged with any timeline already set.
-    pub fn with_drops(self, drops: Vec<CapacityDrop>) -> Self {
-        self.with_dynamics(DynamicsTimeline::from_drops(&drops))
-    }
-
     /// Merges a mid-run resource-dynamics timeline into the run: capacity
     /// drops and recoveries, link degradations and full site outages fire
     /// at their `at_time` through the event queue.
@@ -497,8 +489,6 @@ impl Engine {
         self.obs.dynamics_event();
         let trigger = match ev.change {
             DynamicsChange::Capacity { .. } => {
-                // Converted legacy `CapacityDrop`s keep emitting the counter
-                // and trigger they always did.
                 self.obs.capacity_drop();
                 Trigger::CapacityDrop
             }
@@ -1412,7 +1402,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::sched::{StagePlan, TaskAssignment};
-    use tetrium_cluster::{DataDistribution, Site};
+    use tetrium_cluster::{DataDistribution, DynamicsEvent, Site};
     use tetrium_jobs::JobId;
 
     /// The serve front end moves engines onto pool threads; this fails to
@@ -1564,7 +1554,11 @@ mod tests {
             Box::new(LocalScheduler),
             EngineConfig::default(),
         )
-        .with_drops(vec![CapacityDrop::new(SiteId(0), 0.5, 0.5)])
+        .with_dynamics(DynamicsTimeline::new(vec![DynamicsEvent::new(
+            SiteId(0),
+            0.5,
+            DynamicsChange::Capacity { keep: 0.5 },
+        )]))
         .run()
         .unwrap();
         assert!(
@@ -1895,47 +1889,6 @@ mod tests {
         .run()
         .unwrap();
         assert!(off.obs.is_none());
-    }
-
-    #[test]
-    fn with_drops_matches_equivalent_dynamics_timeline() {
-        use tetrium_cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
-        let mk = || {
-            let input = DataDistribution::new(vec![4.0, 0.0]);
-            Job::new(
-                JobId(0),
-                "m",
-                0.0,
-                vec![tetrium_jobs::Stage::root_map(input, 4, 1.0, 0.5)],
-            )
-        };
-        let legacy = Engine::new(
-            cluster2(),
-            vec![mk()],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .with_drops(vec![CapacityDrop::new(SiteId(0), 0.5, 0.5)])
-        .run()
-        .unwrap();
-        let timeline = DynamicsTimeline::new(vec![DynamicsEvent::new(
-            SiteId(0),
-            0.5,
-            DynamicsChange::Capacity { keep: 0.5 },
-        )]);
-        let explicit = Engine::new(
-            cluster2(),
-            vec![mk()],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .with_dynamics(timeline)
-        .run()
-        .unwrap();
-        assert_eq!(legacy.jobs[0].response, explicit.jobs[0].response);
-        assert_eq!(legacy.total_wan_gb, explicit.total_wan_gb);
-        assert_eq!(legacy.dynamics_events, 1);
-        assert_eq!(explicit.dynamics_events, 1);
     }
 
     #[test]
